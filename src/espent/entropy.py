@@ -320,6 +320,10 @@ def s_r_truncated(esp: ESPVector, r: int, ctrl: SeriesControl | None = None) -> 
     At r = n this coincides term-by-term with von_neumann_series; for r < n
     it is the same series on the truncated characteristic polynomial.
     """
+    if r == 1:
+        # The r = 1 series sums to -e_1 ln e_1; the engine never settles when
+        # e_1 misses 1 by an ulp.  (0.0 - x gives +0.0 at e_1 = 1.)
+        return SeriesResult(value=0.0 - esp[1] * math.log(esp[1]), terms_used=1, converged=True)
     if ctrl is None:
         ctrl = SeriesControl()
     return _series_engine(_truncated_e_list(esp, r), esp.n, ctrl)

@@ -7,7 +7,7 @@ entropies can be tracked alongside the von Neumann entropy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,10 +16,6 @@ from .report import AnalysisOptions, AnalysisReport, analyze
 from .states import validate_state
 
 MAX_LENGTH = 12
-
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-_SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -51,34 +47,30 @@ class QuenchConfig:
             raise ValueError(f"initial must be 'up' or 'neel', got {self.initial!r}")
 
 
-def _site_op(op: np.ndarray, site: int, length: int) -> np.ndarray:
-    mats = [np.eye(2, dtype=complex)] * length
-    mats[site] = op
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
-
-
 def build_hamiltonian(config: QuenchConfig) -> np.ndarray:
-    """Dense open-chain Hamiltonian for the configured model."""
+    """Dense real open-chain Hamiltonian for the configured model.
+
+    Filled from bit operations on basis indices: site i is bit L-1-i (site 0
+    is the most significant bit) and spin up is bit 0, so Z_i Z_{i+1} is
+    diagonal and X_i flips one bit.  Both models are real symmetric.
+    """
     L = config.length
-    dim = 2**L
-    h = np.zeros((dim, dim), dtype=complex)
+    idx = np.arange(2**L)
+    h = np.zeros((idx.size, idx.size))
+    for i in range(L - 1):
+        zz = 1.0 - 2.0 * (((idx >> (L - 2 - i)) ^ (idx >> (L - 1 - i))) & 1)
+        if config.model == "tfi":
+            # H = -J sum Z_i Z_{i+1} - h sum X_i
+            h[idx, idx] -= config.coupling * zz
+        else:
+            # H = J sum (X_i X_{i+1} + Y_i Y_{i+1} + Delta Z_i Z_{i+1});
+            # XX + YY swaps an antiparallel pair with amplitude 2
+            h[idx, idx] += config.coupling * config.anisotropy * zz
+            anti = idx[zz < 0.0]
+            h[anti, anti ^ (3 << (L - 2 - i))] += 2.0 * config.coupling
     if config.model == "tfi":
-        # H = -J sum Z_i Z_{i+1} - h sum X_i
-        for i in range(L - 1):
-            h -= config.coupling * (_site_op(_SZ, i, L) @ _site_op(_SZ, i + 1, L))
         for i in range(L):
-            h -= config.field_strength * _site_op(_SX, i, L)
-    else:
-        # H = J sum (X_i X_{i+1} + Y_i Y_{i+1} + Delta Z_i Z_{i+1})
-        for i in range(L - 1):
-            h += config.coupling * (
-                _site_op(_SX, i, L) @ _site_op(_SX, i + 1, L)
-                + _site_op(_SY, i, L) @ _site_op(_SY, i + 1, L)
-                + config.anisotropy * (_site_op(_SZ, i, L) @ _site_op(_SZ, i + 1, L))
-            )
+            h[idx, idx ^ (1 << (L - 1 - i))] -= config.field_strength
     return h
 
 
@@ -88,7 +80,7 @@ def initial_product_state(config: QuenchConfig) -> np.ndarray:
         index = 0
     else:
         index = int("".join("01"[(i % 2)] for i in range(config.length)), 2)
-    psi = np.zeros(2**config.length, dtype=complex)
+    psi = np.zeros(2**config.length)
     psi[index] = 1.0
     return psi
 
@@ -106,13 +98,14 @@ def quench_trajectory(
     h = build_hamiltonian(config)
     evals, evecs = np.linalg.eigh(h)
     psi0 = initial_product_state(config)
-    coeffs = evecs.conj().T @ psi0
     times = np.linspace(0.0, config.tmax, config.steps + 1)
+    phases = np.exp(-1j * np.outer(evals, times)) * (evecs.T @ psi0)[:, None]
+    # Two real products: a complex right factor would copy evecs to complex
+    kets = evecs @ phases.real + 1j * (evecs @ phases.imag)
     n = 2**config.cut
     d = 2 ** (config.length - config.cut)
     out = []
-    for t in times:
-        psi_t = evecs @ (np.exp(-1j * evals * t) * coeffs)
+    for t, psi_t in zip(times, kets.T):
         state = validate_state(psi_t.reshape(n, d), renormalize=True)
         out.append((float(t), analyze(state, options)))
     return out

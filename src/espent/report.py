@@ -103,10 +103,6 @@ def analyze(state: PureBipartiteState, options: AnalysisOptions | None = None) -
             "terms_used": res.terms_used,
             "converged": res.converged,
         }
-    if str(n) in s_r:
-        s_n = s_r[str(n)]
-    else:
-        s_n = s_r_truncated(esp, n, options.series).value
 
     entropies = {
         "linear": linear_entropy(esp),
@@ -127,7 +123,10 @@ def analyze(state: PureBipartiteState, options: AnalysisOptions | None = None) -
     residuals = {
         "esp_routes_max": esp_route_residual,
         "purity_routes_max": purity_residual,
-        "s_n_vs_von_neumann_series": abs(s_n - vn_series.value),
+        # None when r_max < n: S_n alone would only rerun von_neumann_series
+        "s_n_vs_von_neumann_series": (
+            abs(s_r[str(n)] - vn_series.value) if str(n) in s_r else None
+        ),
         "von_neumann_series_vs_direct": abs(vn_series.value - vn_direct),
         "bunching_vs_e2": bunching_residual,
     }

@@ -167,6 +167,13 @@ def test_s_r_examples():
     assert s_r_truncated(prod, 2).value == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("e1", [1.0, 1.0 - 2.0**-53, 1.0 + 2.0**-52])
+def test_s_1_is_zero_when_trace_misses_one_by_an_ulp(e1):
+    res = s_r_truncated(ESPVector(n=2, values=(e1, 0.1)), 1)
+    assert res.converged
+    assert abs(res.value) < 1e-15
+
+
 def test_s_r_order_errors():
     bell = esp_of((0.5, 0.5))
     with pytest.raises(OrderOutOfRangeError):

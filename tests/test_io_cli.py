@@ -145,6 +145,14 @@ def test_cli_analyze_norm_error_and_renormalize(tmp_path, capsys):
     assert main(["analyze", str(path), "--renormalize"]) == EXIT_OK
 
 
+def test_cli_analyze_nan_amplitude(tmp_path, caplog):
+    path = bell_json(tmp_path)
+    path.write_text(path.read_text().replace("0.0", "NaN", 1))
+    assert main(["analyze", str(path)]) == EXIT_PARSE
+    assert "NaN or infinite amplitude" in caplog.text
+    assert main(["analyze", str(path), "--renormalize"]) == EXIT_PARSE
+
+
 def test_cli_analyze_strict_nonconvergence(tmp_path, capsys):
     state = validate_state(np.array([[np.sqrt(0.999), 0.0], [0.0, np.sqrt(0.001)]]))
     path = tmp_path / "slow.json"

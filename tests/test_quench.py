@@ -12,6 +12,32 @@ from espent import (
 )
 from espent.quench import initial_product_state
 
+_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+
+def kron_hamiltonian(cfg):
+    """Reference Hamiltonian: each term is kron(I, op, I) over Pauli matrices."""
+    L = cfg.length
+
+    def embed(op, site):
+        span = op.shape[0].bit_length() - 1
+        return np.kron(np.kron(np.eye(2**site), op), np.eye(2 ** (L - site - span)))
+
+    J = cfg.coupling
+    if cfg.model == "tfi":
+        bond = -J * np.kron(_Z, _Z)
+        fields = [embed(-cfg.field_strength * _X, i) for i in range(L)]
+    else:
+        bond = J * (np.kron(_X, _X) + np.kron(_Y, _Y) + cfg.anisotropy * np.kron(_Z, _Z))
+        fields = []
+    return sum(embed(bond, i) for i in range(L - 1)) + sum(fields)
+
+
+# Non-default couplings: Delta < 0, h = 0, J < 0
+COUPLINGS = [(0.7, 1.3, -0.4), (-1.1, 0.0, 2.5)]
+
 
 def test_config_validation():
     with pytest.raises(TooLargeError):
@@ -27,6 +53,43 @@ def test_hamiltonian_hermitian():
         cfg = QuenchConfig(model=model, length=4, cut=2, tmax=1.0, steps=2)
         h = build_hamiltonian(cfg)
         np.testing.assert_allclose(h, h.conj().T, atol=1e-14)
+
+
+@pytest.mark.parametrize("length", range(2, 9))
+@pytest.mark.parametrize("model", ["tfi", "xxz"])
+@pytest.mark.parametrize("coupling, field_strength, anisotropy", COUPLINGS)
+def test_hamiltonian_matches_kron_reference(length, model, coupling, field_strength, anisotropy):
+    cfg = QuenchConfig(
+        model=model, length=length, cut=1, tmax=1.0, steps=1, coupling=coupling,
+        field_strength=field_strength, anisotropy=anisotropy,
+    )
+    h = build_hamiltonian(cfg)
+    assert h.dtype == np.float64
+    np.testing.assert_allclose(h, kron_hamiltonian(cfg), rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("model", ["tfi", "xxz"])
+def test_trajectory_matches_kron_reference_evolution(model):
+    cfg = QuenchConfig(
+        model=model, length=8, cut=3, tmax=1.5, steps=3, coupling=0.7,
+        field_strength=1.3, anisotropy=-0.4,
+    )
+    traj = quench_trajectory(cfg, AnalysisOptions(r_max=2))
+    evals, evecs = np.linalg.eigh(kron_hamiltonian(cfg))
+    psi0 = np.zeros(2**8)
+    psi0[0 if model == "tfi" else 0b01010101] = 1.0
+    coeffs = evecs.conj().T @ psi0
+    for t, report in traj:
+        psi = evecs @ (np.exp(-1j * evals * t) * coeffs)
+        spec = np.linalg.svd(psi.reshape(8, 32), compute_uv=False) ** 2
+        # np.poly gives prod (x - p) = sum_k (-1)^k e_k x^(n-k)
+        esp = np.poly(spec)[1:] * (-1.0) ** np.arange(1, 9)
+        np.testing.assert_allclose(report.spectrum, spec, rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(report.esp, esp, rtol=0.0, atol=1e-10)
+        p = spec[spec > 0.0]
+        assert report.entropies["von_neumann_direct"] == pytest.approx(
+            -np.sum(p * np.log(p)), abs=1e-10
+        )
 
 
 def test_initial_states():

@@ -40,6 +40,15 @@ def test_validate_norm_window():
     assert abs(s.renorm_factor - 1.0 / 0.98) < 1e-12
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+@pytest.mark.parametrize("renormalize", [False, True])
+def test_validate_rejects_non_finite(bad, renormalize):
+    raw = np.array([[0.5**0.5, 0.0], [0.0, 0.5**0.5]], dtype=complex)
+    raw[1, 0] = bad
+    with pytest.raises(NormError):
+        validate_state(raw, renormalize=renormalize)
+
+
 def test_validate_dimension_errors():
     with pytest.raises(DimensionMismatchError):
         validate_state(np.ones(3))
