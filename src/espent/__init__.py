@@ -44,7 +44,6 @@ from .fermions import (
     build_two_copy_state,
     bunching_probability,
     fermionic_encoding_probability,
-    ordered_pair,
 )
 from .io import parse_state_file, serialize_state, state_to_dict, write_state_file
 from .quench import QuenchConfig, build_hamiltonian, quench_trajectory

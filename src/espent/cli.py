@@ -126,12 +126,16 @@ def _cmd_quench(args) -> int:
     # Compact trajectory table on stdout.
     header_rs = sorted(records[0]["report"]["entropies"]["s_r"], key=int)
     sys.stdout.write("time  " + "  ".join(f"S_{r}" for r in header_rs) + "  S_vN\n")
+    unconverged = 0
     for rec in records:
         ent = rec["report"]["entropies"]
-        row = [f"{rec['time']:.6f}"]
-        row += [f"{ent['s_r'][r]:.8f}" for r in header_rs]
-        row.append(f"{ent['von_neumann_direct']:.8f}")
+        conv = rec["report"]["convergence"]["s_r"]
+        cells = [f"{ent['s_r'][r]:.8f}" if conv[r]["converged"] else "n/c" for r in header_rs]
+        unconverged += cells.count("n/c")
+        row = [f"{rec['time']:.6f}", *cells, f"{ent['von_neumann_direct']:.8f}"]
         sys.stdout.write("  ".join(row) + "\n")
+    if unconverged:
+        log.warning("%d S_r value(s) did not converge; printed as n/c", unconverged)
     if args.strict and not all(_all_converged(rec["report"]) for rec in records):
         log.error("series did not converge within --max-terms")
         return EXIT_NOT_CONVERGED

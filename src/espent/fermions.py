@@ -6,10 +6,12 @@ beamsplitter (input ports 1 and 2, output ports 3 and 4); the probability
 that both fermions leave through the same output port equals the
 second-order volume e_2 of the reduced-density-matrix spectrum.
 
-Modes are (port, level) pairs with 0-based levels, globally ordered
-lexicographically; every fermionic sign is derived from sorting creation
-operators into that order.  Same-mode double occupation is structurally
-unrepresentable (the pair is dropped at insertion, b+ b+ = 0).
+The two-fermion state is one complex array per port pair (p, q), p <= q,
+indexed [a, b, i1, i2]: the levels of the fermions in ports p and q, then
+the environment indices of copies 1 and 2.  For p < q the entry is the
+amplitude of b+_(p,a) b+_(q,b); for p == q the array is antisymmetric in
+(a, b) and the state is (1/2) sum_ab X[a, b] b+_(p,a) b+_(p,b), so double
+occupation of a mode is zero by construction.
 """
 
 from __future__ import annotations
@@ -20,107 +22,103 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import OrderOutOfRangeError, WrongPortDomainError
-from .states import PureBipartiteState, ReducedDensityMatrix, projected_states
-
-Mode = tuple[int, int]  # (port, level)
+from .errors import OrderOutOfRangeError, TooLargeError, WrongPortDomainError
+from .states import PureBipartiteState, ReducedDensityMatrix
 
 IN_PORTS = (1, 2)
 OUT_PORTS = (3, 4)
 
+# Largest n*d simulated: each port block holds (n*d)^2 amplitudes, and the
+# protocol peaks at four blocks, about 1.1 GB at 64x64.
+MAX_STATE_SIZE = 64 * 64
+
 # 50:50 convention: a+_(1) -> (b+_(3) - b+_(4)) / sqrt(2),
 #                   a+_(2) -> (b+_(3) + b+_(4)) / sqrt(2), level-preserving.
+# Python floats, not numpy scalars: numpy then reuses the temporary in
+# c * (x - x.swapaxes(0, 1)) instead of allocating a second block.
 _SPLITTER = {
-    1: ((3, 1.0 / np.sqrt(2.0)), (4, -1.0 / np.sqrt(2.0))),
-    2: ((3, 1.0 / np.sqrt(2.0)), (4, 1.0 / np.sqrt(2.0))),
+    1: ((3, 1.0 / math.sqrt(2.0)), (4, -1.0 / math.sqrt(2.0))),
+    2: ((3, 1.0 / math.sqrt(2.0)), (4, 1.0 / math.sqrt(2.0))),
 }
 
 
 @dataclass(frozen=True)
 class TwoFermionJointState:
-    """Two-fermion Fock amplitudes keyed by a strictly ordered mode pair.
+    """Two-fermion amplitudes: one (n, n, d, d) block per port pair p <= q.
 
-    Each value is the environment vector in H_R (x) H_R (length d^2)
-    attached to the creation-operator pair of the key.
+    Same-port blocks must be antisymmetric in (a, b).  Blocks are kept as
+    read-only views, not copies.
     """
 
     d: int
-    terms: dict[tuple[Mode, Mode], np.ndarray]
+    terms: dict[tuple[int, int], np.ndarray]
 
     def __post_init__(self):
         frozen = {}
-        for (m1, m2), env in self.terms.items():
-            if not m1 < m2:
-                raise ValueError(f"mode pair {m1}, {m2} not strictly ordered")
-            env = np.asarray(env, dtype=complex)
-            if env.shape != (self.d * self.d,):
-                raise ValueError(f"environment length {env.shape} != d^2 = {self.d**2}")
-            env = env.copy()
-            env.flags.writeable = False
-            frozen[(m1, m2)] = env
+        for (p, q), block in self.terms.items():
+            if not p <= q:
+                raise ValueError(f"port pair {p}, {q} not ordered")
+            view = np.asarray(block, dtype=complex).view()
+            n = view.shape[0] if view.ndim == 4 else -1
+            if view.shape != (n, n, self.d, self.d):
+                raise ValueError(f"block shape {view.shape} != (n, n, d, d) with d = {self.d}")
+            view.flags.writeable = False
+            frozen[(p, q)] = view
+        if len({block.shape for block in frozen.values()}) > 1:
+            raise ValueError("port blocks disagree in the number of levels")
         object.__setattr__(self, "terms", frozen)
 
     def total_norm_squared(self) -> float:
-        return float(sum(np.vdot(env, env).real for env in self.terms.values()))
+        # A same-port block lists each unordered level pair twice.
+        return float(
+            sum((0.5 if p == q else 1.0) * np.vdot(x, x).real for (p, q), x in self.terms.items())
+        )
 
     def ports(self) -> set[int]:
-        return {m[0] for pair in self.terms for m in pair}
-
-
-def ordered_pair(m1: Mode, m2: Mode, env: np.ndarray):
-    """Canonicalize a creation-operator pair.
-
-    Returns (key, signed_env), or None when the modes coincide (Pauli
-    exclusion).  Swapping the two operators flips the sign of the
-    environment, per the anticommutation rule.
-    """
-    if m1 == m2:
-        return None
-    if m1 < m2:
-        return (m1, m2), env
-    return (m2, m1), -env
-
-
-def _accumulate(acc: dict, m1: Mode, m2: Mode, env: np.ndarray):
-    res = ordered_pair(m1, m2, env)
-    if res is None:
-        return
-    key, signed = res
-    if key in acc:
-        acc[key] = acc[key] + signed
-    else:
-        acc[key] = signed.copy()
+        return {p for pair in self.terms for p in pair}
 
 
 def build_two_copy_state(state: PureBipartiteState) -> TwoFermionJointState:
     """Joint state of two copies at the beamsplitter inputs.
 
-    Copy c contributes a+_(j)^(c) with environment |j psi|; the joint term
+    Copy c contributes a+_(j)^(c) with environment |j psi>; the joint term
     for (j1, j2) carries |j1 psi> (x) |j2 psi>.
     """
-    vecs = projected_states(state, side="M").vectors
-    acc: dict[tuple[Mode, Mode], np.ndarray] = {}
-    for j1 in range(state.n):
-        for j2 in range(state.n):
-            env = np.kron(vecs[j1], vecs[j2])
-            _accumulate(acc, (1, j1), (2, j2), env)
-    return TwoFermionJointState(d=state.d, terms=acc)
+    if state.n * state.d > MAX_STATE_SIZE:
+        raise TooLargeError(
+            f"n*d = {state.n * state.d} exceeds {MAX_STATE_SIZE} for the bunching simulation"
+        )
+    psi = state.amplitudes
+    return TwoFermionJointState(d=state.d, terms={(1, 2): np.einsum("ai,bk->abik", psi, psi)})
 
 
 def beamsplitter_transform(js: TwoFermionJointState) -> TwoFermionJointState:
-    """Apply the 50:50 mode transformation to every creation-operator pair.
+    """Apply the 50:50 mode transformation to every port block.
 
-    Expands the product of the two transformed operators, drops same-mode
-    terms, canonicalizes pair order with its fermionic sign, and merges
-    duplicate keys.  Unitary: total norm is preserved.
+    Each operator pair b+_(p,a) b+_(q,b) expands into four output pairs; a
+    pair in reverse port order is reordered with a fermionic minus sign, and
+    a same-port pair is antisymmetrized in its levels.  Unitary: total norm
+    is preserved.
     """
     if not js.ports() <= set(IN_PORTS):
         raise WrongPortDomainError(f"expected ports {IN_PORTS}, found {sorted(js.ports())}")
-    acc: dict[tuple[Mode, Mode], np.ndarray] = {}
-    for ((p1, l1), (p2, l2)), env in js.terms.items():
-        for q1, c1 in _SPLITTER[p1]:
-            for q2, c2 in _SPLITTER[p2]:
-                _accumulate(acc, (q1, l1), (q2, l2), (c1 * c2) * env)
+    acc: dict[tuple[int, int], np.ndarray] = {}
+    for (p, q), x in js.terms.items():
+        weight = 0.5 if p == q else 1.0
+        for q1, c1 in _SPLITTER[p]:
+            for q2, c2 in _SPLITTER[q]:
+                c = weight * c1 * c2
+                if q1 < q2:
+                    key, y = (q1, q2), c * x
+                elif q1 > q2:
+                    key, y = (q2, q1), -c * x.swapaxes(0, 1)
+                else:
+                    key, y = (q1, q2), c * (x - x.swapaxes(0, 1))
+                if key in acc:
+                    acc[key] += y
+                else:
+                    acc[key] = y
+                del y  # free each (n, n, d, d) term before the next is built
     return TwoFermionJointState(d=js.d, terms=acc)
 
 
@@ -130,13 +128,7 @@ def bunching_probability(js_out: TwoFermionJointState) -> float:
         raise WrongPortDomainError(
             f"expected ports {OUT_PORTS}, found {sorted(js_out.ports())}"
         )
-    return float(
-        sum(
-            np.vdot(env, env).real
-            for ((p1, _), (p2, _)), env in js_out.terms.items()
-            if p1 == p2
-        )
-    )
+    return float(0.5 * sum(np.vdot(x, x).real for (p, q), x in js_out.terms.items() if p == q))
 
 
 def fermionic_encoding_probability(state: PureBipartiteState) -> float:

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from espent import (
     OrderOutOfRangeError,
+    TooLargeError,
+    TwoFermionJointState,
     WrongPortDomainError,
     antisym_weight,
     beamsplitter_transform,
@@ -10,7 +14,6 @@ from espent import (
     bunching_probability,
     esp_from_spectrum,
     fermionic_encoding_probability,
-    ordered_pair,
     random_haar_state,
     reduced_density_matrix,
     spectrum,
@@ -18,19 +21,71 @@ from espent import (
 )
 from conftest import random_product_state
 
+# Dense reference: the 2n modes are (port, level) with port index 0, 1 for
+# ports 1, 2 at the input and 3, 4 at the output.  The state is
+# (1/2) sum A[m1, m2, i1, i2] c+_m1 c+_m2 with A antisymmetric in (m1, m2),
+# and the 50:50 splitter acts as S (x) I_n on each mode axis.
+_S = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
+
+
+def _dense_from_blocks(terms, n, d, ports):
+    lo, hi = ports
+    a = np.zeros((2 * n, 2 * n, d, d), dtype=complex)
+    for (p, q), x in terms.items():
+        sp, sq = slice(n * (p - lo), n * (p - lo + 1)), slice(n * (q - lo), n * (q - lo + 1))
+        if p == q:
+            a[sp, sp] = x
+        else:
+            a[sp, sq] = x
+            a[sq, sp] = -x.swapaxes(0, 1)
+    return a
+
+
+def _dense_transform(terms, n, d):
+    a = _dense_from_blocks(terms, n, d, (1, 2))
+    u = np.kron(_S, np.eye(n))
+    out = np.einsum("xm,yn,mnik->xyik", u, u, a)
+    return {(3, 3): out[:n, :n], (3, 4): out[:n, n:], (4, 4): out[n:, n:]}
+
+
+def _assert_matches_dense(js, n, d):
+    out = beamsplitter_transform(js)
+    ref = _dense_transform(js.terms, n, d)
+    for key, x in ref.items():
+        np.testing.assert_allclose(out.terms.get(key, np.zeros_like(x)), x, rtol=0, atol=1e-12)
+    p_ref = 0.5 * (np.linalg.norm(ref[(3, 3)]) ** 2 + np.linalg.norm(ref[(4, 4)]) ** 2)
+    assert bunching_probability(out) == pytest.approx(p_ref, abs=1e-12)
+    total_in = 0.5 * np.linalg.norm(_dense_from_blocks(js.terms, n, d, (1, 2))) ** 2
+    assert out.total_norm_squared() == pytest.approx(total_in, abs=1e-12)
+
+
+def _random_block(rng, n, d, antisymmetric):
+    x = rng.standard_normal((n, n, d, d)) + 1j * rng.standard_normal((n, n, d, d))
+    return x - x.swapaxes(0, 1) if antisymmetric else x
+
+
+def _haar_unitary(k, rng):
+    z = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
 
 def test_build_two_copy_bell(bell_state):
     js = build_two_copy_state(bell_state)
-    assert len(js.terms) == 4
-    for env in js.terms.values():
-        assert np.vdot(env, env).real == pytest.approx(0.25, abs=1e-12)
+    assert list(js.terms) == [(1, 2)]
+    x = js.terms[(1, 2)]
+    assert x.shape == (2, 2, 2, 2)
+    for a in range(2):
+        for b in range(2):
+            assert np.vdot(x[a, b], x[a, b]).real == pytest.approx(0.25, abs=1e-12)
     assert js.total_norm_squared() == pytest.approx(1.0, abs=1e-10)
 
 
 def test_build_two_copy_trivial_level():
     s = validate_state(np.array([[0.6, 0.8]]))
     js = build_two_copy_state(s)
-    assert list(js.terms) == [((1, 0), (2, 0))]
+    assert list(js.terms) == [(1, 2)]
+    assert js.terms[(1, 2)].shape == (1, 1, 2, 2)
 
 
 def test_build_two_copy_product_env_structure():
@@ -39,28 +94,92 @@ def test_build_two_copy_product_env_structure():
     b = s.amplitudes[np.argmax(np.linalg.norm(s.amplitudes, axis=1))]
     ref = np.kron(b, b)
     ref = ref / np.linalg.norm(ref)
-    for env in js.terms.values():
-        overlap = abs(np.vdot(ref, env))
-        assert overlap == pytest.approx(np.linalg.norm(env), abs=1e-12)
+    x = js.terms[(1, 2)]
+    for j1 in range(3):
+        for j2 in range(3):
+            env = x[j1, j2].ravel()
+            overlap = abs(np.vdot(ref, env))
+            assert overlap == pytest.approx(np.linalg.norm(env), abs=1e-12)
 
 
-def test_ordered_pair_sign_and_exclusion():
-    env = np.array([1.0 + 0j])
-    assert ordered_pair((3, 0), (3, 0), env) is None
-    key, signed = ordered_pair((3, 1), (3, 0), env)
-    assert key == ((3, 0), (3, 1))
-    np.testing.assert_array_equal(signed, -env)
-    key2, signed2 = ordered_pair((3, 0), (3, 1), env)
-    assert key2 == key
-    np.testing.assert_array_equal(signed2, env)
+def test_build_two_copy_layout():
+    # Entry [a, b, i1, i2]: copy 1 in level a with environment i1, copy 2 in b with i2.
+    s = random_haar_state(3, 4, seed=3)
+    x = build_two_copy_state(s).terms[(1, 2)]
+    for a in range(3):
+        for b in range(3):
+            np.testing.assert_allclose(
+                x[a, b].ravel(), np.kron(s.amplitudes[a], s.amplitudes[b]), rtol=0, atol=1e-15
+            )
 
 
-def test_canonicalization_idempotent():
-    env = np.array([0.3 + 0.4j, 0.1, 0.0, 0.2])
-    key, signed = ordered_pair((4, 2), (3, 1), env)
-    key2, signed2 = ordered_pair(*key, signed)
-    assert key2 == key
-    np.testing.assert_array_equal(signed2, signed)
+def test_port_swap_sign_and_exclusion():
+    # b+_(1,0) b+_(2,1): the (4, 3) term is reordered into block (3, 4)
+    # with a minus sign; same-port terms vanish on the level diagonal.
+    x = np.zeros((2, 2, 1, 1), dtype=complex)
+    x[0, 1] = 1.0
+    out = beamsplitter_transform(TwoFermionJointState(d=1, terms={(1, 2): x}))
+    e01 = np.zeros((2, 2, 1, 1))
+    e01[0, 1] = 1.0
+    e10 = e01.swapaxes(0, 1)
+    np.testing.assert_allclose(out.terms[(3, 4)], 0.5 * (e01 + e10), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(out.terms[(3, 3)], 0.5 * (e01 - e10), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(out.terms[(4, 4)], -0.5 * (e01 - e10), rtol=0, atol=1e-15)
+    for key in [(3, 3), (4, 4)]:
+        assert not out.terms[key][[0, 1], [0, 1]].any()
+    with pytest.raises(ValueError):
+        TwoFermionJointState(d=1, terms={(2, 1): x})
+    with pytest.raises(ValueError):
+        TwoFermionJointState(d=2, terms={(1, 2): x})
+
+
+def test_same_port_blocks_antisymmetric_views():
+    out = beamsplitter_transform(build_two_copy_state(random_haar_state(4, 3, seed=5)))
+    for key in [(3, 3), (4, 4)]:
+        x = out.terms[key]
+        np.testing.assert_array_equal(x, -x.swapaxes(0, 1))
+        np.testing.assert_array_equal(np.diagonal(x, axis1=0, axis2=1), 0.0)
+    again = TwoFermionJointState(d=out.d, terms=out.terms)
+    for key, x in out.terms.items():
+        assert np.shares_memory(again.terms[key], x)
+        assert not again.terms[key].flags.writeable
+
+
+def test_build_two_copy_rejects_oversized():
+    s = validate_state(np.ones((1, 4097)) / np.sqrt(4097.0))
+    with pytest.raises(TooLargeError):
+        build_two_copy_state(s)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("d", range(1, 6))
+def test_transform_matches_dense_reference_haar(n, d):
+    js = build_two_copy_state(random_haar_state(n, d, seed=10 * n + d))
+    _assert_matches_dense(js, n, d)
+
+
+@pytest.mark.parametrize(
+    "keys", [[(1, 1)], [(2, 2)], [(1, 1), (2, 2)], [(1, 1), (1, 2), (2, 2)]]
+)
+def test_transform_matches_dense_reference_hand_built(keys):
+    rng = np.random.default_rng(len(keys))
+    for n, d in [(1, 2), (2, 1), (3, 2), (4, 3)]:
+        terms = {(p, q): _random_block(rng, n, d, p == q) for p, q in keys}
+        _assert_matches_dense(TwoFermionJointState(d=d, terms=terms), n, d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 5), d=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_bunching_local_unitary_invariance_property(n, d, seed):
+    s = random_haar_state(n, d, seed)
+    rng = np.random.default_rng(seed)
+    moved = validate_state(_haar_unitary(n, rng) @ s.amplitudes @ _haar_unitary(d, rng))
+    out = beamsplitter_transform(build_two_copy_state(s))
+    assert out.total_norm_squared() == pytest.approx(1.0, abs=1e-12)
+    p = bunching_probability(out)
+    assert fermionic_encoding_probability(moved) == pytest.approx(p, abs=1e-12)
+    e2 = esp_from_spectrum(spectrum(reduced_density_matrix(s)))[2]
+    assert p == pytest.approx(e2, abs=1e-12)
 
 
 def test_beamsplitter_unitary():

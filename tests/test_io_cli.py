@@ -153,6 +153,13 @@ def test_cli_analyze_nan_amplitude(tmp_path, caplog):
     assert main(["analyze", str(path), "--renormalize"]) == EXIT_PARSE
 
 
+def test_cli_analyze_bunching_too_large(tmp_path, caplog):
+    path = tmp_path / "wide.json"
+    write_state_file(validate_state(np.ones((1, 4097)) / np.sqrt(4097.0)), path)
+    assert main(["analyze", str(path), "--simulate-bunching"]) == EXIT_PARSE
+    assert "exceeds 4096" in caplog.text
+
+
 def test_cli_analyze_strict_nonconvergence(tmp_path, capsys):
     state = validate_state(np.array([[np.sqrt(0.999), 0.0], [0.0, np.sqrt(0.001)]]))
     path = tmp_path / "slow.json"
@@ -171,7 +178,7 @@ def test_cli_random_deterministic(tmp_path):
     assert state.n == 3 and state.d == 4
 
 
-def test_cli_quench(tmp_path, capsys):
+def test_cli_quench(tmp_path, capsys, caplog):
     out_json = tmp_path / "traj.json"
     code = main(
         [
@@ -187,7 +194,18 @@ def test_cli_quench(tmp_path, capsys):
         0.0, abs=1e-10
     )
     table = capsys.readouterr().out
-    assert table.splitlines()[0].startswith("time")
+    lines = table.splitlines()
+    assert lines[0].split() == ["time", "S_1", "S_2", "S_vN"]
+    # S_2 does not converge at t = 1/6 and 1/3; those cells read n/c.
+    s_2 = [line.split()[2] for line in lines[1:]]
+    assert s_2[1:3] == ["n/c", "n/c"]
+    for k in (0, 3):
+        value = records[k]["report"]["entropies"]["s_r"]["2"]
+        assert float(s_2[k]) == pytest.approx(value, abs=1e-8)
+    assert [rec["report"]["convergence"]["s_r"]["2"]["converged"] for rec in records] == [
+        True, False, False, True,
+    ]
+    assert any("2 S_r value(s) did not converge" in r.getMessage() for r in caplog.records)
 
 
 def test_cli_quench_bad_cut(capsys):
