@@ -49,7 +49,6 @@ from .io import parse_state_file, serialize_state, state_to_dict, write_state_fi
 from .quench import QuenchConfig, build_hamiltonian, quench_trajectory
 from .report import AnalysisOptions, AnalysisReport, analyze
 from .states import (
-    ProjectedFamily,
     PureBipartiteState,
     ReducedDensityMatrix,
     Spectrum,

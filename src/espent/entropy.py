@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 
 from .errors import InvalidOrderError, OrderOutOfRangeError
 from .states import Spectrum
@@ -197,16 +198,25 @@ def purities_recurrence(esp: ESPVector, K: int) -> PuritySequence:
     """
     if K < 1:
         raise OrderOutOfRangeError(f"K={K} must be >= 1")
-    p = [0.0] * (K + 1)  # p[0] unused
-    for k in range(1, K + 1):
+    return PuritySequence(values=tuple(islice(_power_sums(esp, esp.n), 1, K + 1)))
+
+
+def _power_sums(e, n: int):
+    """Yield s_0 = n, s_1, s_2, ...: power sums of the n roots whose ESPs are e.
+
+    Newton's recurrence; e[k] is read lazily for k = 1..n, so any indexable
+    holding e_1..e_n (an ESPVector or an e_0..e_n list) will do.
+    """
+    s = [float(n)]
+    yield s[0]
+    for m in count(1):
         acc = math.fsum(
-            (-1) ** (i - 1) * esp[i] * p[k - i] for i in range(1, min(k, esp.n + 1))
-            if i < k
+            (-1) ** (i - 1) * e[i] * s[m - i] for i in range(1, min(m, n + 1))
         )
-        if k <= esp.n:
-            acc += (-1) ** (k - 1) * k * esp[k]
-        p[k] = acc
-    return PuritySequence(values=tuple(p[1:]))
+        if m <= n:
+            acc += (-1) ** (m - 1) * m * e[m]
+        s.append(acc)
+        yield acc
 
 
 # ---------------------------------------------------------------------------
@@ -230,35 +240,11 @@ def _complement_esps(e_list: list[float], n: int) -> list[float]:
     return out
 
 
-def _complement_power_sums(et: list[float], n: int, upto: int) -> list[float]:
-    """s_m = sum_j mu_j^m for m = 0..upto via Newton's recurrence on e~."""
-    s = [float(n)]
-    for m in range(1, upto + 1):
-        acc = math.fsum(
-            (-1) ** (i - 1) * et[i] * s[m - i] for i in range(1, min(m, n + 1))
-        )
-        if m <= n:
-            acc += (-1) ** (m - 1) * m * et[m]
-        s.append(acc)
-    return s
-
-
 def _series_engine(e_list: list[float], n: int, ctrl: SeriesControl) -> SeriesResult:
     """Sum (1/m)(s_m - s_{m+1}) with the relative-tail stopping rule."""
-    et = _complement_esps(e_list, n)
-    s = [float(n)]
-
-    def s_at(m: int) -> float:
-        while len(s) <= m:
-            mm = len(s)
-            acc = math.fsum(
-                (-1) ** (i - 1) * et[i] * s[mm - i] for i in range(1, min(mm, n + 1))
-            )
-            if mm <= n:
-                acc += (-1) ** (mm - 1) * mm * et[mm]
-            s.append(acc)
-        return s[m]
-
+    sums = _power_sums(_complement_esps(e_list, n), n)
+    next(sums)  # s_0 enters no term
+    s_m = next(sums)  # s_1 = e~_1: no sum, cannot overflow
     add, state = _kahan()
     small_run = 0
     terms_used = 0
@@ -268,10 +254,12 @@ def _series_engine(e_list: list[float], n: int, ctrl: SeriesControl) -> SeriesRe
         # disk; the series then diverges and the recurrence overflows.  Stop
         # with converged=False rather than propagating inf/nan.
         try:
-            t_m = (s_at(m) - s_at(m + 1)) / m
+            s_next = next(sums)
         except (OverflowError, ValueError):
             terms_used = m - 1
             break
+        t_m = (s_m - s_next) / m
+        s_m = s_next
         if not math.isfinite(t_m):
             terms_used = m - 1
             break
@@ -291,14 +279,6 @@ def _series_engine(e_list: list[float], n: int, ctrl: SeriesControl) -> SeriesRe
     return SeriesResult(value=state["total"], terms_used=terms_used, converged=converged)
 
 
-def _full_e_list(esp: ESPVector) -> list[float]:
-    if len(esp) != esp.n:
-        raise OrderOutOfRangeError(
-            f"need all n={esp.n} ESP values, have {len(esp)}"
-        )
-    return [1.0, *esp.values]
-
-
 def _truncated_e_list(esp: ESPVector, r: int) -> list[float]:
     if not 1 <= r <= esp.n:
         raise OrderOutOfRangeError(f"r={r} outside 1..{esp.n}")
@@ -308,17 +288,15 @@ def _truncated_e_list(esp: ESPVector, r: int) -> list[float]:
 
 
 def von_neumann_series(esp: ESPVector, ctrl: SeriesControl | None = None) -> SeriesResult:
-    """Von Neumann entropy from the full ESP vector via the Taylor series."""
-    if ctrl is None:
-        ctrl = SeriesControl()
-    return _series_engine(_full_e_list(esp), esp.n, ctrl)
+    """Von Neumann entropy from the full ESP vector: S_r at r = n."""
+    return s_r_truncated(esp, esp.n, ctrl)
 
 
 def s_r_truncated(esp: ESPVector, r: int, ctrl: SeriesControl | None = None) -> SeriesResult:
     """r-th-order entanglement entropy: the series using only e_1 ... e_r.
 
-    At r = n this coincides term-by-term with von_neumann_series; for r < n
-    it is the same series on the truncated characteristic polynomial.
+    At r = n this is von_neumann_series; for r < n it is the same series on
+    the truncated characteristic polynomial.
     """
     if r == 1:
         # The r = 1 series sums to -e_1 ln e_1; the engine never settles when
@@ -337,9 +315,8 @@ def series_partial_sum(esp: ESPVector, r: int, depth: int) -> float:
     """
     if depth < 1:
         raise OrderOutOfRangeError(f"depth={depth} must be >= 1")
-    e_list = _truncated_e_list(esp, r)
-    et = _complement_esps(e_list, esp.n)
-    s = _complement_power_sums(et, esp.n, depth + 1)
+    et = _complement_esps(_truncated_e_list(esp, r), esp.n)
+    s = list(islice(_power_sums(et, esp.n), depth + 2))
     add, state = _kahan()
     for m in range(1, depth + 1):
         add((s[m] - s[m + 1]) / m)

@@ -86,7 +86,10 @@ def _parse_state_csv(text: str, renormalize: bool) -> PureBipartiteState:
 def parse_state_file(path, renormalize: bool = False) -> PureBipartiteState:
     """Read a state from JSON (canonical) or CSV (by .csv suffix)."""
     p = Path(path)
-    text = p.read_text()
+    try:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {p}: {exc}") from exc
     if p.suffix.lower() == ".csv":
         return _parse_state_csv(text, renormalize)
     try:

@@ -23,7 +23,7 @@ from .fermions import fermionic_encoding_probability
 from .states import PureBipartiteState, reduced_density_matrix, spectrum
 from .volumes import esp_from_charpoly, esp_from_spectrum
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,8 @@ def analyze(state: PureBipartiteState, options: AnalysisOptions | None = None) -
         "s_r": {},
     }
     for r in range(1, r_max + 1):
-        res = s_r_truncated(esp, r, options.series)
+        # S_n is the von Neumann series by definition; do not run it twice.
+        res = vn_series if r == n else s_r_truncated(esp, r, options.series)
         s_r[str(r)] = res.value
         convergence["s_r"][str(r)] = {
             "terms_used": res.terms_used,
@@ -123,10 +124,6 @@ def analyze(state: PureBipartiteState, options: AnalysisOptions | None = None) -
     residuals = {
         "esp_routes_max": esp_route_residual,
         "purity_routes_max": purity_residual,
-        # None when r_max < n: S_n alone would only rerun von_neumann_series
-        "s_n_vs_von_neumann_series": (
-            abs(s_r[str(n)] - vn_series.value) if str(n) in s_r else None
-        ),
         "von_neumann_series_vs_direct": abs(vn_series.value - vn_direct),
         "bunching_vs_e2": bunching_residual,
     }

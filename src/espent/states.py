@@ -1,4 +1,4 @@
-"""Pure bipartite states, projected families, reduced density matrices, spectra.
+"""Pure bipartite states, projected states, reduced density matrices, spectra.
 
 A pure state of an n-dimensional subsystem M coupled to a d-dimensional
 subsystem R is stored as its amplitude matrix psi with entry (j, i) the
@@ -46,34 +46,6 @@ class PureBipartiteState:
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-
-@dataclass(frozen=True)
-class ProjectedFamily:
-    """Ordered family of projected (unnormalized) environment vectors."""
-
-    vectors: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        if not self.vectors:
-            raise DimensionMismatchError("projected family must be nonempty")
-        length = self.vectors[0].shape[0]
-        frozen = []
-        for v in self.vectors:
-            v = np.asarray(v, dtype=complex)
-            if v.ndim != 1 or v.shape[0] != length:
-                raise DimensionMismatchError("projected vectors must share one length")
-            v = v.copy()
-            v.flags.writeable = False
-            frozen.append(v)
-        object.__setattr__(self, "vectors", tuple(frozen))
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-    def as_matrix(self) -> np.ndarray:
-        """Stack the family as rows of an n x d matrix."""
-        return np.array(self.vectors)
 
 
 @dataclass(frozen=True)
@@ -149,45 +121,40 @@ def validate_state(raw, renormalize: bool = False) -> PureBipartiteState:
     return PureBipartiteState(n=n, d=d, amplitudes=raw, renorm_factor=factor)
 
 
-def projected_states(state: PureBipartiteState, side: str = "M") -> ProjectedFamily:
-    """Project onto the basis of one side; side='M' gives the rows |j psi>."""
+def projected_states(state: PureBipartiteState, side: str = "M") -> np.ndarray:
+    """Read-only matrix whose rows are the projected (unnormalized) states.
+
+    side='M' gives the n rows |j psi> (the amplitude matrix itself);
+    side='R' gives the d columns of psi as rows (its transpose).
+    """
     if side == "M":
-        return ProjectedFamily(vectors=tuple(state.amplitudes[j, :] for j in range(state.n)))
+        return state.amplitudes
     if side == "R":
-        return ProjectedFamily(vectors=tuple(state.amplitudes[:, i] for i in range(state.d)))
+        return state.amplitudes.T
     raise ValueError(f"side must be 'M' or 'R', got {side!r}")
+
+
+def gram_matrix(v: np.ndarray) -> np.ndarray:
+    """Matrix of pairwise inner products of the rows of v.
+
+    Convention: G[a, b] = <v_b | v_a>, i.e. G = V V^dagger, so that the Gram
+    matrix of the projected states coincides elementwise with the reduced
+    density matrix of the same side.  This is the conjugate transpose of the
+    textbook Gram matrix; being Hermitian, it has the same principal minors
+    and determinant.  Symmetrized so that Hermiticity holds exactly.
+    """
+    g = v @ v.conj().T
+    return 0.5 * (g + g.conj().T)
 
 
 def reduced_density_matrix(state: PureBipartiteState, side: str = "M") -> ReducedDensityMatrix:
     """Partial trace over the complementary subsystem.
 
     Convention: (rho_M)_{j1, j2} = sum_i psi_{j1, i} conj(psi_{j2, i}),
-    i.e. rho_M = psi psi^dagger.
+    i.e. rho_M = psi psi^dagger, the Gram matrix of the projected states.
     """
-    psi = state.amplitudes
-    if side == "M":
-        rho = psi @ psi.conj().T
-    elif side == "R":
-        rho = psi.T @ psi.conj()
-    else:
-        raise ValueError(f"side must be 'M' or 'R', got {side!r}")
-    # Symmetrize away last-bit asymmetry so the Hermiticity check is exact.
-    rho = 0.5 * (rho + rho.conj().T)
+    rho = gram_matrix(projected_states(state, side))
     return ReducedDensityMatrix(dim=rho.shape[0], matrix=rho)
-
-
-def gram_matrix(fam: ProjectedFamily) -> np.ndarray:
-    """Matrix of pairwise inner products of the family.
-
-    Convention: G[a, b] = <j_b psi | j_a psi>, so that G coincides
-    elementwise with the reduced density matrix rho_M of the same state
-    (G = V V^dagger for V with the family as rows).  This is the conjugate
-    transpose of the textbook Gram matrix; being Hermitian, it has the same
-    principal minors and determinant.
-    """
-    v = fam.as_matrix()
-    g = v @ v.conj().T
-    return 0.5 * (g + g.conj().T)
 
 
 def spectrum(rho: ReducedDensityMatrix) -> Spectrum:

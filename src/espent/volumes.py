@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import LengthMismatchError, OrderOutOfRangeError
-from .states import ProjectedFamily, ReducedDensityMatrix, Spectrum
+from .states import ReducedDensityMatrix, Spectrum, gram_matrix
 
 # Values below this are reported as 0 in user-facing output (kept raw here).
 DISPLAY_ZERO_TOL = 1e-14
@@ -81,46 +81,40 @@ def wedge_norm_squared(vectors) -> float:
     for v in vecs:
         if v.ndim != 1 or v.shape[0] != length:
             raise LengthMismatchError("vectors must share one length")
-    v = np.array(vecs)
-    gram = v.conj() @ v.T
-    return float(np.linalg.det(gram).real)
+    return float(np.linalg.det(gram_matrix(np.array(vecs))).real)
 
 
-def volume_r_brute(fam: ProjectedFamily, r: int) -> float:
+def volume_r_brute(v: np.ndarray, r: int) -> float:
     """Collective squared r-th-order volume by explicit subset enumeration.
 
-    Sums the Gram determinant of every r-subset of the family.  This is the
-    oracle route: O(C(n, r) * r^3), intended for n <= 12.
+    Sums the Gram determinant of every r-subset of the rows of v (for
+    example ``projected_states(state)``).  This is the oracle route:
+    O(C(n, r) * r^3), intended for n <= 12.
     """
-    n = len(fam)
+    n = v.shape[0]
     if not 1 <= r <= n:
         raise OrderOutOfRangeError(f"r={r} outside 1..{n}")
-    v = fam.as_matrix()
-    gram_full = v.conj() @ v.T
+    gram = gram_matrix(v)
     terms = [
-        float(np.linalg.det(gram_full[np.ix_(idx, idx)]).real)
+        float(np.linalg.det(gram[np.ix_(idx, idx)]).real)
         for idx in combinations(range(n), r)
     ]
     return math.fsum(terms)
 
 
-def esp_from_spectrum(spec: Spectrum, up_to: int | None = None) -> ESPVector:
-    """e_1 ... e_up_to via the stable add-one-eigenvalue recurrence.
+def esp_from_spectrum(spec: Spectrum) -> ESPVector:
+    """e_1 ... e_n via the stable add-one-eigenvalue recurrence.
 
     Updates run over k in descending order so each eigenvalue is absorbed
     in place; every addition is of nonnegative terms, so there is no
     cancellation.
     """
     n = len(spec)
-    if up_to is None:
-        up_to = n
-    if not 1 <= up_to <= n:
-        raise OrderOutOfRangeError(f"up_to={up_to} outside 1..{n}")
-    e = [1.0] + [0.0] * up_to  # e[0] = e_0
+    e = [1.0] + [0.0] * n  # e[0] = e_0
     for lam in spec.eigenvalues:  # already descending
-        for k in range(min(up_to, n), 0, -1):
+        for k in range(n, 0, -1):
             e[k] += lam * e[k - 1]
-    return ESPVector(n=n, values=tuple(e[1 : up_to + 1]))
+    return ESPVector(n=n, values=tuple(e[1:]))
 
 
 def esp_from_charpoly(rho: ReducedDensityMatrix) -> ESPVector:

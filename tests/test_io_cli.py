@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -77,6 +78,24 @@ def test_parse_dimension_mismatch(tmp_path):
         parse_state_file(path)
 
 
+def test_parse_missing_file(tmp_path):
+    path = tmp_path / "absent.json"
+    with pytest.raises(ParseError, match="absent.json"):
+        parse_state_file(path)
+
+
+def test_parse_directory(tmp_path):
+    with pytest.raises(ParseError, match=re.escape(str(tmp_path))):
+        parse_state_file(tmp_path)
+
+
+def test_parse_non_utf8_bytes(tmp_path):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    with pytest.raises(ParseError, match="binary.json"):
+        parse_state_file(path)
+
+
 def test_round_trip_bit_identical(tmp_path):
     state = random_haar_state(3, 4, seed=5)
     path = tmp_path / "state.json"
@@ -90,10 +109,10 @@ def test_round_trip_bit_identical(tmp_path):
 def test_analyze_report_fields():
     rep = analyze(random_bell(), options=None)
     d = rep.to_dict()
-    assert d["schema_version"] == 1
+    assert d["schema_version"] == 2
     assert d["entropies"]["linear"] == pytest.approx(0.5, abs=1e-10)
     assert d["residuals"]["esp_routes_max"] < 1e-8
-    assert d["residuals"]["s_n_vs_von_neumann_series"] < 1e-6
+    assert d["entropies"]["s_r"]["2"] == d["entropies"]["von_neumann_series"]
     assert d["bunching"] is None  # off by default
 
 
@@ -137,6 +156,12 @@ def test_cli_analyze_parse_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{")
     assert main(["analyze", str(path)]) == EXIT_PARSE
+
+
+def test_cli_analyze_missing_file(tmp_path, caplog):
+    path = tmp_path / "absent.json"
+    assert main(["analyze", str(path)]) == EXIT_PARSE
+    assert f"cannot read {path}" in caplog.text
 
 
 def test_cli_analyze_norm_error_and_renormalize(tmp_path, capsys):

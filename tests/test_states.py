@@ -56,16 +56,16 @@ def test_validate_dimension_errors():
 
 def test_projected_states_bell(bell_state):
     fam = projected_states(bell_state, side="M")
-    np.testing.assert_allclose(fam.vectors[0], [2**-0.5, 0.0], atol=1e-15)
-    np.testing.assert_allclose(fam.vectors[1], [0.0, 2**-0.5], atol=1e-15)
+    np.testing.assert_allclose(fam[0], [2**-0.5, 0.0], atol=1e-15)
+    np.testing.assert_allclose(fam[1], [0.0, 2**-0.5], atol=1e-15)
 
 
 def test_projected_states_product_parallel():
     s = random_product_state(3, 4, seed=1)
     fam = projected_states(s, side="M")
     # all projected vectors proportional to the same environment vector
-    ref = fam.vectors[np.argmax([np.linalg.norm(v) for v in fam.vectors])]
-    for v in fam.vectors:
+    ref = fam[np.argmax([np.linalg.norm(v) for v in fam])]
+    for v in fam:
         overlap = abs(np.vdot(ref, v))
         assert abs(overlap - np.linalg.norm(ref) * np.linalg.norm(v)) < 1e-12
 
@@ -73,7 +73,7 @@ def test_projected_states_product_parallel():
 def test_projected_norms_sum_to_one():
     s = random_haar_state(3, 4, seed=7)
     fam = projected_states(s, side="M")
-    total = sum(np.vdot(v, v).real for v in fam.vectors)
+    total = sum(np.vdot(v, v).real for v in fam)
     assert abs(total - 1.0) < 1e-10
 
 

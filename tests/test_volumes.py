@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from espent import (
     ESPVector,
@@ -10,6 +12,7 @@ from espent import (
     Spectrum,
     esp_from_charpoly,
     esp_from_spectrum,
+    gram_matrix,
     projected_states,
     random_haar_state,
     reduced_density_matrix,
@@ -126,6 +129,33 @@ def test_brute_force_matches_esp():
         esp = esp_from_spectrum(spectrum(reduced_density_matrix(s)))
         for r in range(1, n + 1):
             assert volume_r_brute(fam, r) == pytest.approx(esp[r], abs=1e-8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 5), d=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_volumes_on_both_sides_property(n, d, seed):
+    s = random_haar_state(n, d, seed)
+    for side in ("M", "R"):
+        np.testing.assert_array_equal(
+            gram_matrix(projected_states(s, side)), reduced_density_matrix(s, side).matrix
+        )
+    # Partial trace over M: (rho_R)[i1, i2] = sum_j psi[j, i1] conj(psi[j, i2]).
+    psi = s.amplitudes
+    np.testing.assert_allclose(
+        reduced_density_matrix(s, "R").matrix,
+        np.einsum("ja,jb->ab", psi, psi.conj()),
+        rtol=0,
+        atol=1e-15,
+    )
+    # The d environment-side rows span the same volumes as the n system-side
+    # rows: e_r of rho_M up to min(n, d), and nothing beyond the rank.
+    esp = esp_from_spectrum(spectrum(reduced_density_matrix(s, "M")))
+    rows = projected_states(s, "R")
+    for r in range(1, d + 1):
+        if r <= min(n, d):
+            assert volume_r_brute(rows, r) == pytest.approx(esp[r], abs=1e-10)
+        else:
+            assert abs(volume_r_brute(rows, r)) < 1e-12
 
 
 def test_basis_invariance():
