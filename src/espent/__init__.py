@@ -28,6 +28,7 @@ from .errors import (
     EspentError,
     IndefiniteMatrixError,
     InvalidCutError,
+    InvalidOptionError,
     InvalidOrderError,
     LengthMismatchError,
     NormError,

@@ -14,10 +14,10 @@ point loses ~m bits to cancellation, so the production path instead tracks
 the power sums s_m of the complement spectrum mu = 1 - lambda via Newton's
 recurrence on the complement ESPs; then (1/m)(s_m - s_{m+1}) is the m-th
 term with no large cancellation.  The r-th-order truncation is the same
-series evaluated on the ESP vector with e_l zeroed for l > r (power sums of
-the truncated characteristic polynomial).  A literal triple-sum evaluator
-with exact rational coefficients is kept as an independent cross-check for
-small depths.
+series over the r roots of q_r(x) = x^r - e_1 x^(r-1) + ... + (-1)^r e_r,
+whose ESPs are e_0 ... e_r (the n - r zero roots it omits cancel termwise).
+A literal triple-sum evaluator with exact rational coefficients is kept as
+an independent cross-check for small depths.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
 
-from .errors import InvalidOrderError, OrderOutOfRangeError
+from .errors import InvalidOptionError, InvalidOrderError, OrderOutOfRangeError
 from .states import Spectrum
 from .volumes import ESPVector
 
@@ -44,6 +44,8 @@ class PuritySequence:
         vals = tuple(float(v) for v in self.values)
         if not vals:
             raise OrderOutOfRangeError("need at least one purity")
+        if not all(map(math.isfinite, vals)):
+            raise ValueError("purities hold a NaN or infinite value")
         if abs(vals[0] - 1.0) > 1e-10:
             raise ValueError(f"p_1 = {vals[0]} is not 1")
         for k, v in enumerate(vals, start=1):
@@ -73,11 +75,11 @@ class SeriesControl:
 
     def __post_init__(self):
         if self.max_outer_terms < 1:
-            raise ValueError("max_outer_terms must be >= 1")
+            raise InvalidOptionError(f"max_outer_terms={self.max_outer_terms}; need >= 1")
         if not 0.0 < self.rel_tol < 1.0:
-            raise ValueError("rel_tol must be in (0, 1)")
+            raise InvalidOptionError(f"rel_tol={self.rel_tol}; need 0 < rel_tol < 1")
         if self.consecutive_small < 1:
-            raise ValueError("consecutive_small must be >= 1")
+            raise InvalidOptionError(f"consecutive_small={self.consecutive_small}; need >= 1")
 
 
 @dataclass(frozen=True)
@@ -99,8 +101,8 @@ def q_tilde(esp: ESPVector) -> float:
 
 def renyi_entropy(spec: Spectrum, alpha: float) -> float:
     """(1 / (1 - alpha)) ln sum_j lambda_j^alpha for alpha > 0, alpha != 1."""
-    if alpha <= 0.0 or alpha == 1.0:
-        raise InvalidOrderError(f"alpha={alpha}; need alpha > 0 and alpha != 1")
+    if not 0.0 < alpha < math.inf or alpha == 1.0:
+        raise InvalidOrderError(f"alpha={alpha}; need finite alpha > 0 and alpha != 1")
     total = math.fsum(lam**alpha for lam in spec.eigenvalues if lam > 0.0)
     return math.log(total) / (1.0 - alpha)
 
@@ -223,26 +225,22 @@ def _power_sums(e, n: int):
 # Taylor series for the von Neumann entropy and its r-th-order truncations
 # ---------------------------------------------------------------------------
 
-def _complement_esps(e_list: list[float], n: int) -> list[float]:
+def _complement_esps(e_list: list[float]) -> list[float]:
     """ESPs of the complement spectrum mu_j = 1 - lambda_j.
 
     e~_m = sum_{k=0}^m (-1)^k C(n-k, m-k) e_k, for m = 0..n, where e_list
-    holds e_0..e_n of the (possibly truncated) input.
+    holds e_0..e_n of the n roots.
     """
-    out = []
-    for m in range(n + 1):
-        out.append(
-            math.fsum(
-                (-1) ** k * math.comb(n - k, m - k) * e_list[k]
-                for k in range(m + 1)
-            )
-        )
-    return out
+    n = len(e_list) - 1
+    return [
+        math.fsum((-1) ** k * math.comb(n - k, m - k) * e_list[k] for k in range(m + 1))
+        for m in range(n + 1)
+    ]
 
 
-def _series_engine(e_list: list[float], n: int, ctrl: SeriesControl) -> SeriesResult:
+def _series_engine(e_list: list[float], ctrl: SeriesControl) -> SeriesResult:
     """Sum (1/m)(s_m - s_{m+1}) with the relative-tail stopping rule."""
-    sums = _power_sums(_complement_esps(e_list, n), n)
+    sums = _power_sums(_complement_esps(e_list), len(e_list) - 1)
     next(sums)  # s_0 enters no term
     s_m = next(sums)  # s_1 = e~_1: no sum, cannot overflow
     add, state = _kahan()
@@ -284,7 +282,7 @@ def _truncated_e_list(esp: ESPVector, r: int) -> list[float]:
         raise OrderOutOfRangeError(f"r={r} outside 1..{esp.n}")
     if len(esp) < r:
         raise OrderOutOfRangeError(f"need ESPs up to r={r}, have {len(esp)}")
-    return [1.0] + [esp[l] for l in range(1, r + 1)] + [0.0] * (esp.n - r)
+    return [1.0] + [esp[l] for l in range(1, r + 1)]
 
 
 def von_neumann_series(esp: ESPVector, ctrl: SeriesControl | None = None) -> SeriesResult:
@@ -295,8 +293,8 @@ def von_neumann_series(esp: ESPVector, ctrl: SeriesControl | None = None) -> Ser
 def s_r_truncated(esp: ESPVector, r: int, ctrl: SeriesControl | None = None) -> SeriesResult:
     """r-th-order entanglement entropy: the series using only e_1 ... e_r.
 
-    At r = n this is von_neumann_series; for r < n it is the same series on
-    the truncated characteristic polynomial.
+    At r = n this is von_neumann_series; for r < n it is the same series
+    over the r roots of q_r.
     """
     if r == 1:
         # The r = 1 series sums to -e_1 ln e_1; the engine never settles when
@@ -304,7 +302,7 @@ def s_r_truncated(esp: ESPVector, r: int, ctrl: SeriesControl | None = None) -> 
         return SeriesResult(value=0.0 - esp[1] * math.log(esp[1]), terms_used=1, converged=True)
     if ctrl is None:
         ctrl = SeriesControl()
-    return _series_engine(_truncated_e_list(esp, r), esp.n, ctrl)
+    return _series_engine(_truncated_e_list(esp, r), ctrl)
 
 
 def series_partial_sum(esp: ESPVector, r: int, depth: int) -> float:
@@ -315,8 +313,8 @@ def series_partial_sum(esp: ESPVector, r: int, depth: int) -> float:
     """
     if depth < 1:
         raise OrderOutOfRangeError(f"depth={depth} must be >= 1")
-    et = _complement_esps(_truncated_e_list(esp, r), esp.n)
-    s = list(islice(_power_sums(et, esp.n), depth + 2))
+    et = _complement_esps(_truncated_e_list(esp, r))
+    s = list(islice(_power_sums(et, r), depth + 2))
     add, state = _kahan()
     for m in range(1, depth + 1):
         add((s[m] - s[m + 1]) / m)

@@ -30,7 +30,11 @@ class OrderOutOfRangeError(EspentError, ValueError):
 
 
 class InvalidOrderError(EspentError, ValueError):
-    """Renyi order alpha is not admissible (alpha <= 0 or alpha == 1)."""
+    """Renyi order alpha is not admissible (alpha <= 0, alpha == 1 or not finite)."""
+
+
+class InvalidOptionError(EspentError, ValueError):
+    """A series or quench setting is outside its valid range."""
 
 
 class WrongPortDomainError(EspentError, ValueError):

@@ -7,11 +7,12 @@ entropies can be tracked alongside the von Neumann entropy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidCutError, TooLargeError
+from .errors import InvalidCutError, InvalidOptionError, TooLargeError
 from .report import AnalysisOptions, AnalysisReport, analyze
 from .states import validate_state
 
@@ -32,19 +33,21 @@ class QuenchConfig:
 
     def __post_init__(self):
         if self.model not in ("tfi", "xxz"):
-            raise ValueError(f"model must be 'tfi' or 'xxz', got {self.model!r}")
+            raise InvalidOptionError(f"model must be 'tfi' or 'xxz', got {self.model!r}")
         if self.length > MAX_LENGTH:
             raise TooLargeError(f"length {self.length} exceeds {MAX_LENGTH}")
         if self.length < 2:
-            raise ValueError("length must be >= 2")
+            raise InvalidOptionError(f"length {self.length}; need >= 2")
         if not 1 <= self.cut <= self.length - 1:
             raise InvalidCutError(f"cut {self.cut} outside 1..{self.length - 1}")
-        if self.steps < 1 or self.tmax < 0.0:
-            raise ValueError("need steps >= 1 and tmax >= 0")
+        if self.steps < 1 or not 0.0 <= self.tmax < math.inf:
+            raise InvalidOptionError(
+                f"steps={self.steps}, tmax={self.tmax}; need steps >= 1 and finite tmax >= 0"
+            )
         if self.initial == "":
             object.__setattr__(self, "initial", "up" if self.model == "tfi" else "neel")
         if self.initial not in ("up", "neel"):
-            raise ValueError(f"initial must be 'up' or 'neel', got {self.initial!r}")
+            raise InvalidOptionError(f"initial must be 'up' or 'neel', got {self.initial!r}")
 
 
 def build_hamiltonian(config: QuenchConfig) -> np.ndarray:

@@ -8,6 +8,7 @@ symmetric-polynomial measures) is built on top of these values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,6 +77,8 @@ class Spectrum:
 
     def __post_init__(self):
         vals = tuple(float(v) for v in self.eigenvalues)
+        if not all(map(math.isfinite, vals)):
+            raise ValueError("spectrum has a NaN or infinite entry")
         if any(v < 0.0 for v in vals):
             raise IndefiniteMatrixError("spectrum has a negative entry")
         if abs(sum(vals) - 1.0) > 1e-10:

@@ -42,6 +42,8 @@ class ESPVector:
             raise OrderOutOfRangeError(
                 f"need 1..n={self.n} values, got {len(vals)}"
             )
+        if not all(map(math.isfinite, vals)):
+            raise ValueError("ESPs hold a NaN or infinite value")
         if abs(vals[0] - 1.0) > 1e-10:
             raise ValueError(f"e_1 = {vals[0]} is not 1 (trace normalization)")
         for k, v in enumerate(vals, start=1):

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from espent import (
     ESPVector,
+    InvalidOptionError,
     InvalidOrderError,
     OrderOutOfRangeError,
+    PuritySequence,
     SeriesControl,
     Spectrum,
     esp_from_spectrum,
@@ -30,6 +34,17 @@ LN2 = 0.6931471805599453
 
 def esp_of(lams):
     return esp_from_spectrum(Spectrum(eigenvalues=tuple(lams)))
+
+
+def q_r_roots_entropy(esp, r):
+    """(-sum nu ln nu, max |1 - nu|) over the roots nu of q_r, by np.roots.
+
+    Roots below 1e-12 count as zero: they add nothing to the entropy, and
+    their complement 1 - nu = 1 is constant in every series term.
+    """
+    nu = np.roots([(-1) ** k * esp[k] for k in range(r + 1)]).astype(complex)
+    nu = nu[abs(nu) > 1e-12]
+    return float(-np.sum(nu * np.log(nu)).real), float(np.max(abs(1.0 - nu)))
 
 
 def random_spectrum(n, seed, lam_min=0.0):
@@ -67,6 +82,12 @@ def test_renyi_invalid_orders():
     for alpha in (0.0, -1.0, 1.0):
         with pytest.raises(InvalidOrderError):
             renyi_entropy(spec, alpha)
+
+
+@pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+def test_renyi_rejects_non_finite_orders(alpha):
+    with pytest.raises(InvalidOrderError):
+        renyi_entropy(Spectrum(eigenvalues=(0.5, 0.5)), alpha)
 
 
 def test_renyi_linear_entropy_bridge():
@@ -131,6 +152,32 @@ def test_series_control_validation():
         SeriesControl(consecutive_small=0)
 
 
+@pytest.mark.parametrize(
+    "kwargs", [{"max_outer_terms": 0}, {"rel_tol": 0.0}, {"rel_tol": math.nan}, {"consecutive_small": 0}]
+)
+def test_series_control_raises_invalid_option(kwargs):
+    with pytest.raises(InvalidOptionError):
+        SeriesControl(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ESPVector(n=2, values=(1.0, math.nan)),
+        lambda: ESPVector(n=2, values=(1.0, math.inf)),
+        lambda: ESPVector(n=2, values=(math.nan,)),
+        lambda: Spectrum(eigenvalues=(math.nan, 1.0)),
+        lambda: Spectrum(eigenvalues=(1.0, math.nan)),
+        lambda: Spectrum(eigenvalues=(math.inf, 0.0)),
+        lambda: PuritySequence(values=(1.0, math.nan)),
+        lambda: PuritySequence(values=(1.0, 0.5, -math.inf)),
+    ],
+)
+def test_wrappers_reject_non_finite_values(build):
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        build()
+
+
 def test_von_neumann_series_bell():
     res = von_neumann_series(esp_of((0.5, 0.5)))
     assert res.converged
@@ -172,6 +219,29 @@ def test_s_1_is_zero_when_trace_misses_one_by_an_ulp(e1):
     res = s_r_truncated(ESPVector(n=2, values=(e1, 0.1)), 1)
     assert res.converged
     assert abs(res.value) < 1e-15
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+@pytest.mark.parametrize("r", [2, 3])
+def test_s_r_matches_roots_of_q_r_haar(n, r):
+    # Summing over q_r's own r roots: no zero pad up to degree n, whose
+    # complement binomials C(n - k, m - k) once cancelled to |S_2| ~ 1e11.
+    esp = esp_from_spectrum(spectrum(reduced_density_matrix(random_haar_state(n, n, 1))))
+    res = s_r_truncated(esp, r)
+    assert res.converged
+    assert abs(res.value - q_r_roots_entropy(esp, r)[0]) <= 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 12), d=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
+def test_s_r_matches_roots_of_q_r_property(n, d, seed):
+    esp = esp_from_spectrum(spectrum(reduced_density_matrix(random_haar_state(n, d, seed))))
+    for r in range(2, min(n, 4) + 1):
+        value, radius = q_r_roots_entropy(esp, r)
+        if radius <= 0.8:
+            res = s_r_truncated(esp, r)
+            assert res.converged
+            assert abs(res.value - value) <= 1e-8
 
 
 def test_s_r_order_errors():

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from espent import (
+    AnalysisOptions,
     DimensionMismatchError,
     NormError,
     ParseError,
+    Spectrum,
     analyze,
     parse_state_file,
     random_haar_state,
@@ -15,6 +17,7 @@ from espent import (
     validate_state,
     write_state_file,
 )
+from espent.entropy import von_neumann_direct
 from espent.cli import EXIT_NOT_CONVERGED, EXIT_OK, EXIT_PARSE, main
 from conftest import random_bell, random_product_state
 
@@ -109,11 +112,27 @@ def test_round_trip_bit_identical(tmp_path):
 def test_analyze_report_fields():
     rep = analyze(random_bell(), options=None)
     d = rep.to_dict()
-    assert d["schema_version"] == 2
+    assert d["schema_version"] == 3
     assert d["entropies"]["linear"] == pytest.approx(0.5, abs=1e-10)
     assert d["residuals"]["esp_routes_max"] < 1e-8
     assert d["entropies"]["s_r"]["2"] == d["entropies"]["von_neumann_series"]
     assert d["bunching"] is None  # off by default
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_analyze_s_n_is_read_off_the_spectrum(n):
+    states = [random_haar_state(n, d, 7) for d in (1, n, 2 * n)]
+    if n == 2:
+        states.append(validate_state(np.diag(np.sqrt([0.999, 0.001]))))
+    for state in states:
+        rep = analyze(state, AnalysisOptions(r_max=n))
+        exact = von_neumann_direct(Spectrum(eigenvalues=rep.spectrum)).hex()
+        assert rep.entropies["s_r"][str(n)].hex() == exact
+        assert rep.entropies["von_neumann_series"].hex() == exact
+        assert rep.entropies["von_neumann_direct"].hex() == exact
+        for entry in (rep.convergence["s_r"][str(n)], rep.convergence["von_neumann_series"]):
+            assert entry == {"converged": True, "terms_used": 1}
+        assert "von_neumann_series_vs_direct" not in rep.residuals
 
 
 def test_analyze_report_bunching():
@@ -185,11 +204,49 @@ def test_cli_analyze_bunching_too_large(tmp_path, caplog):
     assert "exceeds 4096" in caplog.text
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--max-terms", "0"], "max_outer_terms=0; need >= 1"),
+        (["--tol", "0"], "rel_tol=0.0; need 0 < rel_tol < 1"),
+    ],
+)
+def test_cli_analyze_invalid_series_option(tmp_path, capsys, caplog, options, message):
+    assert main(["analyze", str(bell_json(tmp_path)), *options]) == EXIT_PARSE
+    assert [r.getMessage() for r in caplog.records] == [message]
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--length", "4", "--cut", "2", "--tmax", "1", "--steps", "0"],
+         "steps=0, tmax=1.0; need steps >= 1 and finite tmax >= 0"),
+        (["--length", "4", "--cut", "2", "--tmax", "-1", "--steps", "2"],
+         "steps=2, tmax=-1.0; need steps >= 1 and finite tmax >= 0"),
+        (["--length", "1", "--cut", "1", "--tmax", "1", "--steps", "2"], "length 1; need >= 2"),
+    ],
+)
+def test_cli_quench_invalid_option(capsys, caplog, options, message):
+    assert main(["quench", "--model", "xxz", *options]) == EXIT_PARSE
+    assert [r.getMessage() for r in caplog.records] == [message]
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("alpha", ["inf", "nan", "2,-inf"])
+def test_cli_analyze_non_finite_alpha(tmp_path, capsys, caplog, alpha):
+    assert main(["analyze", str(bell_json(tmp_path)), "--alpha", alpha]) == EXIT_PARSE
+    assert len(caplog.records) == 1
+    assert "need finite alpha > 0" in caplog.text
+    assert capsys.readouterr().out == ""
+
+
 def test_cli_analyze_strict_nonconvergence(tmp_path, capsys):
-    state = validate_state(np.array([[np.sqrt(0.999), 0.0], [0.0, np.sqrt(0.001)]]))
+    # S_2 < S_n still runs the series; q_2's roots near 0.998 and 0.002 make it slow
+    state = validate_state(np.diag(np.sqrt([0.998, 0.001, 0.001])))
     path = tmp_path / "slow.json"
     write_state_file(state, path)
-    code = main(["analyze", str(path), "--max-terms", "10", "--strict"])
+    code = main(["analyze", str(path), "--r-max", "2", "--max-terms", "10", "--strict"])
     assert code == EXIT_NOT_CONVERGED
 
 
