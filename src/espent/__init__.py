@@ -10,7 +10,6 @@ which this package simulates in full.
 
 from .entropy import (
     PuritySequence,
-    SeriesControl,
     SeriesResult,
     linear_entropy,
     purities_from_esp,

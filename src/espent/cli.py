@@ -7,8 +7,7 @@ import json
 import logging
 import sys
 
-from .entropy import SeriesControl
-from .errors import EspentError
+from .errors import EspentError, InvalidOrderError
 from .io import parse_state_file, serialize_state, write_state_file
 from .quench import QuenchConfig, quench_trajectory
 from .report import AnalysisOptions, analyze
@@ -33,13 +32,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--r-max", type=int, default=None)
     p_an.add_argument("--k-max", type=int, default=8)
     p_an.add_argument("--alpha", default="2", help="comma-separated Renyi orders")
-    p_an.add_argument("--max-terms", type=int, default=256)
-    p_an.add_argument("--tol", type=float, default=1e-10)
     p_an.add_argument("--simulate-bunching", action="store_true")
     p_an.add_argument("--renormalize", action="store_true")
     p_an.add_argument("--json", dest="json_out", default=None, help="write report JSON here")
     p_an.add_argument("--strict", action="store_true",
-                      help="exit 3 if any series failed to converge")
+                      help="exit 3 if any S_r series diverges or is not certified")
 
     p_rand = sub.add_parser("random", help="generate a Haar-random state file")
     p_rand.add_argument("--n", type=int, required=True)
@@ -54,16 +51,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_q.add_argument("--tmax", type=float, required=True)
     p_q.add_argument("--steps", type=int, required=True)
     p_q.add_argument("--r-max", type=int, default=None)
-    p_q.add_argument("--max-terms", type=int, default=4096)
-    p_q.add_argument("--tol", type=float, default=1e-10)
     p_q.add_argument("--json", dest="json_out", default=None)
     p_q.add_argument("--strict", action="store_true")
 
     return parser
-
-
-def _series_control(args) -> SeriesControl:
-    return SeriesControl(max_outer_terms=args.max_terms, rel_tol=args.tol)
 
 
 def _all_converged(report_dict: dict) -> bool:
@@ -73,16 +64,24 @@ def _all_converged(report_dict: dict) -> bool:
     return all(v["converged"] for v in conv["s_r"].values())
 
 
+def _parse_alphas(text: str) -> tuple[float, ...]:
+    alphas = []
+    for entry in filter(None, text.split(",")):
+        try:
+            alphas.append(float(entry))
+        except ValueError:
+            raise InvalidOrderError(f"--alpha entry {entry!r} is not a number") from None
+    return tuple(alphas)
+
+
 def _cmd_analyze(args) -> int:
     state = parse_state_file(args.file, renormalize=args.renormalize)
     if state.renorm_factor != 1.0:
         log.info("renormalized input by factor %.17g", state.renorm_factor)
-    alphas = tuple(float(a) for a in args.alpha.split(",") if a)
     options = AnalysisOptions(
         r_max=args.r_max,
         k_max=args.k_max,
-        alphas=alphas,
-        series=_series_control(args),
+        alphas=_parse_alphas(args.alpha),
         simulate_bunching=args.simulate_bunching,
     )
     report = analyze(state, options).to_dict()
@@ -92,7 +91,7 @@ def _cmd_analyze(args) -> int:
             fh.write(text)
     sys.stdout.write(text)
     if args.strict and not _all_converged(report):
-        log.error("series did not converge within --max-terms")
+        log.error("an S_r series diverges or is not certified")
         return EXIT_NOT_CONVERGED
     return EXIT_OK
 
@@ -114,7 +113,7 @@ def _cmd_quench(args) -> int:
         tmax=args.tmax,
         steps=args.steps,
     )
-    options = AnalysisOptions(r_max=args.r_max, series=_series_control(args))
+    options = AnalysisOptions(r_max=args.r_max)
     trajectory = quench_trajectory(config, options)
     records = [
         {"time": t, "report": report.to_dict()} for t, report in trajectory
@@ -137,7 +136,7 @@ def _cmd_quench(args) -> int:
     if unconverged:
         log.warning("%d S_r value(s) did not converge; printed as n/c", unconverged)
     if args.strict and not all(_all_converged(rec["report"]) for rec in records):
-        log.error("series did not converge within --max-terms")
+        log.error("an S_r series diverges or is not certified")
         return EXIT_NOT_CONVERGED
     return EXIT_OK
 

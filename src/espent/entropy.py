@@ -4,20 +4,20 @@ The chain runs: ESPs -> higher-order purities Tr(rho^k) (Girard-Newton)
 -> Taylor series for the von Neumann entropy -> truncated r-th-order
 entropies that use only e_1 ... e_r.
 
-Series evaluation.  The von Neumann Taylor expansion is
+Closed form.  The von Neumann Taylor expansion is
 
     S = sum_{m>=1} (1/m) Tr(rho (1 - rho)^m)
       = sum_{m>=1} (1/m) sum_{k=1}^{m+1} C(m, k-1) (-1)^(k-1) p_k,
 
-with p_k = Tr(rho^k).  Evaluating the alternating binomial sum in floating
-point loses ~m bits to cancellation, so the production path instead tracks
-the power sums s_m of the complement spectrum mu = 1 - lambda via Newton's
-recurrence on the complement ESPs; then (1/m)(s_m - s_{m+1}) is the m-th
-term with no large cancellation.  The r-th-order truncation is the same
-series over the r roots of q_r(x) = x^r - e_1 x^(r-1) + ... + (-1)^r e_r,
-whose ESPs are e_0 ... e_r (the n - r zero roots it omits cancel termwise).
-A literal triple-sum evaluator with exact rational coefficients is kept as
-an independent cross-check for small depths.
+with p_k = Tr(rho^k).  Its r-th-order truncation reads e_1 ... e_r only:
+setting e_{r+1..n} = 0 turns the characteristic polynomial into
+x^(n-r) q_r(x) with q_r(x) = x^r - e_1 x^(r-1) + ... + (-1)^r e_r, so the
+truncated series is the same series over the r roots nu of q_r.  It sums
+to S_r = -sum nu ln nu and converges iff max |1 - nu| < 1 over the nonzero
+roots.  The roots come from np.roots (eigenvalues of the companion matrix)
+and are certified by rebuilding q_r from them.  A literal triple-sum
+evaluator with exact rational coefficients is kept as an independent
+cross-check of the partial sums for small depths.
 """
 
 from __future__ import annotations
@@ -27,11 +27,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
 
-from .errors import InvalidOptionError, InvalidOrderError, OrderOutOfRangeError
+import numpy as np
+
+from .errors import InvalidOrderError, OrderOutOfRangeError
 from .states import Spectrum
 from .volumes import ESPVector
 
-_TINY = 1e-300
+# |nu| below this is a roundoff-level zero root of q_r: it adds nothing to
+# S_r and does not enter the convergence radius (bench/oracle.py agrees).
+ZERO_ROOT = 1e-12
+# Relative tolerance of the root certificate on e_0 ... e_m.
+CERTIFY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -66,24 +72,13 @@ class PuritySequence:
 
 
 @dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for the infinite entropy series."""
-
-    max_outer_terms: int = 256
-    rel_tol: float = 1e-10
-    consecutive_small: int = 5
-
-    def __post_init__(self):
-        if self.max_outer_terms < 1:
-            raise InvalidOptionError(f"max_outer_terms={self.max_outer_terms}; need >= 1")
-        if not 0.0 < self.rel_tol < 1.0:
-            raise InvalidOptionError(f"rel_tol={self.rel_tol}; need 0 < rel_tol < 1")
-        if self.consecutive_small < 1:
-            raise InvalidOptionError(f"consecutive_small={self.consecutive_small}; need >= 1")
-
-
-@dataclass(frozen=True)
 class SeriesResult:
+    """S_r from the closed form.
+
+    terms_used is 1, the convention of every closed form; converged means
+    the roots are certified and the series has radius max |1 - nu| < 1.
+    """
+
     value: float
     terms_used: int
     converged: bool
@@ -104,12 +99,12 @@ def renyi_entropy(spec: Spectrum, alpha: float) -> float:
     if not 0.0 < alpha < math.inf or alpha == 1.0:
         raise InvalidOrderError(f"alpha={alpha}; need finite alpha > 0 and alpha != 1")
     total = math.fsum(lam**alpha for lam in spec.eigenvalues if lam > 0.0)
-    return math.log(total) / (1.0 - alpha)
+    return 0.0 - math.log(total) / (alpha - 1.0)  # 0.0 - x: +0.0 for a pure state
 
 
 def von_neumann_direct(spec: Spectrum) -> float:
     """-sum lambda ln lambda with 0 ln 0 = 0; the ground-truth oracle."""
-    return -math.fsum(lam * math.log(lam) for lam in spec.eigenvalues if lam > 0.0)
+    return 0.0 - math.fsum(lam * math.log(lam) for lam in spec.eigenvalues if lam > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -159,36 +154,23 @@ def _girard_newton_coeff(k: int, parts: tuple[tuple[int, int], ...]) -> Fraction
     return coeff
 
 
-def _kahan():
-    """Compensated accumulator: call with each term, read .total."""
-    state = {"total": 0.0, "c": 0.0}
-
-    def add(x: float):
-        y = x - state["c"]
-        t = state["total"] + y
-        state["c"] = (t - state["total"]) - y
-        state["total"] = t
-
-    return add, state
-
-
 def purities_from_esp(esp: ESPVector, K: int) -> PuritySequence:
     """Tr(rho^k) for k = 1..K via the Girard-Newton partition formula.
 
     Coefficients are exact big-integer rationals, converted to float only
-    when multiplied onto the ESP monomial; terms are accumulated with
-    compensated summation.
+    when multiplied onto the ESP monomial; terms are summed exactly
+    rounded with math.fsum.
     """
     if K < 1:
         raise OrderOutOfRangeError(f"K={K} must be >= 1")
     vals = []
     for k in range(1, K + 1):
-        add, state = _kahan()
+        terms = []
         for parts in _partitions(k, min(k, esp.n)):
             coeff = _girard_newton_coeff(k, parts)
             mono = math.prod(esp[l] ** p for l, p in parts)
-            add(float(coeff) * mono)
-        vals.append(state["total"])
+            terms.append(float(coeff) * mono)
+        vals.append(math.fsum(terms))
     return PuritySequence(values=tuple(vals))
 
 
@@ -225,58 +207,6 @@ def _power_sums(e, n: int):
 # Taylor series for the von Neumann entropy and its r-th-order truncations
 # ---------------------------------------------------------------------------
 
-def _complement_esps(e_list: list[float]) -> list[float]:
-    """ESPs of the complement spectrum mu_j = 1 - lambda_j.
-
-    e~_m = sum_{k=0}^m (-1)^k C(n-k, m-k) e_k, for m = 0..n, where e_list
-    holds e_0..e_n of the n roots.
-    """
-    n = len(e_list) - 1
-    return [
-        math.fsum((-1) ** k * math.comb(n - k, m - k) * e_list[k] for k in range(m + 1))
-        for m in range(n + 1)
-    ]
-
-
-def _series_engine(e_list: list[float], ctrl: SeriesControl) -> SeriesResult:
-    """Sum (1/m)(s_m - s_{m+1}) with the relative-tail stopping rule."""
-    sums = _power_sums(_complement_esps(e_list), len(e_list) - 1)
-    next(sums)  # s_0 enters no term
-    s_m = next(sums)  # s_1 = e~_1: no sum, cannot overflow
-    add, state = _kahan()
-    small_run = 0
-    terms_used = 0
-    converged = False
-    for m in range(1, ctrl.max_outer_terms + 1):
-        # Truncated ESP vectors can put pseudo-eigenvalues outside the unit
-        # disk; the series then diverges and the recurrence overflows.  Stop
-        # with converged=False rather than propagating inf/nan.
-        try:
-            s_next = next(sums)
-        except (OverflowError, ValueError):
-            terms_used = m - 1
-            break
-        t_m = (s_m - s_next) / m
-        s_m = s_next
-        if not math.isfinite(t_m):
-            terms_used = m - 1
-            break
-        if m > 20 and abs(t_m) > 1e3 * (abs(state["total"]) + 1.0):
-            # Clear exponential growth; cut off before the value is swamped.
-            terms_used = m - 1
-            break
-        add(t_m)
-        terms_used = m
-        if abs(t_m) <= ctrl.rel_tol * max(abs(state["total"]), _TINY):
-            small_run += 1
-            if small_run >= ctrl.consecutive_small:
-                converged = True
-                break
-        else:
-            small_run = 0
-    return SeriesResult(value=state["total"], terms_used=terms_used, converged=converged)
-
-
 def _truncated_e_list(esp: ESPVector, r: int) -> list[float]:
     if not 1 <= r <= esp.n:
         raise OrderOutOfRangeError(f"r={r} outside 1..{esp.n}")
@@ -285,40 +215,55 @@ def _truncated_e_list(esp: ESPVector, r: int) -> list[float]:
     return [1.0] + [esp[l] for l in range(1, r + 1)]
 
 
-def von_neumann_series(esp: ESPVector, ctrl: SeriesControl | None = None) -> SeriesResult:
+def _q_r_roots(esp: ESPVector, r: int) -> tuple[np.ndarray, bool]:
+    """The roots of q_r with |nu| >= ZERO_ROOT, and whether they are certified.
+
+    The certificate rebuilds q_r with np.poly from all r roots, those below
+    ZERO_ROOT set to 0, and asks |e^_k - e_k| <= CERTIFY_TOL |e_k| for
+    k = 0..m, m the number of live roots.  The companion-matrix roots fail
+    it for r >~ n/2 at n >= 24; at n >= 32 S_r there can be 1e-2 off.
+    """
+    coeffs = np.array([(-1) ** k * e for k, e in enumerate(_truncated_e_list(esp, r))])
+    roots = np.roots(coeffs).astype(complex)
+    live = np.abs(roots) >= ZERO_ROOT
+    m = int(live.sum())
+    rebuilt = np.poly(np.where(live, roots, 0.0))[: m + 1]
+    certified = np.all(np.abs(rebuilt - coeffs[: m + 1]) <= CERTIFY_TOL * np.abs(coeffs[: m + 1]))
+    return roots[live], bool(certified)
+
+
+def von_neumann_series(esp: ESPVector) -> SeriesResult:
     """Von Neumann entropy from the full ESP vector: S_r at r = n."""
-    return s_r_truncated(esp, esp.n, ctrl)
+    return s_r_truncated(esp, esp.n)
 
 
-def s_r_truncated(esp: ESPVector, r: int, ctrl: SeriesControl | None = None) -> SeriesResult:
+def s_r_truncated(esp: ESPVector, r: int) -> SeriesResult:
     """r-th-order entanglement entropy: the series using only e_1 ... e_r.
 
-    At r = n this is von_neumann_series; for r < n it is the same series
-    over the r roots of q_r.
+    Summed in closed form, -sum nu ln nu over the roots nu of q_r; it is
+    converged when the roots are certified and max |1 - nu| < 1.  At r = n
+    the roots are the spectrum and this is von_neumann_series.
     """
     if r == 1:
-        # The r = 1 series sums to -e_1 ln e_1; the engine never settles when
-        # e_1 misses 1 by an ulp.  (0.0 - x gives +0.0 at e_1 = 1.)
+        # (0.0 - x gives +0.0 at e_1 = 1.)
         return SeriesResult(value=0.0 - esp[1] * math.log(esp[1]), terms_used=1, converged=True)
-    if ctrl is None:
-        ctrl = SeriesControl()
-    return _series_engine(_truncated_e_list(esp, r), ctrl)
+    nu, certified = _q_r_roots(esp, r)
+    value = 0.0 - math.fsum((nu * np.log(nu)).real)
+    radius = float(np.max(np.abs(1.0 - nu), initial=0.0))
+    return SeriesResult(value=value, terms_used=1, converged=certified and radius < 1.0)
 
 
 def series_partial_sum(esp: ESPVector, r: int, depth: int) -> float:
     """Partial sum of the r-th-order series through outer term m = depth.
 
-    Matched-truncation comparisons use this: two evaluations at the same
-    depth must agree to roundoff whenever their ESP inputs agree.
+    sum_{m <= depth} (1/m) sum_j nu_j (1 - nu_j)^m over the roots of q_r;
+    the literal evaluator below checks it at matched depth.
     """
     if depth < 1:
         raise OrderOutOfRangeError(f"depth={depth} must be >= 1")
-    et = _complement_esps(_truncated_e_list(esp, r))
-    s = list(islice(_power_sums(et, r), depth + 2))
-    add, state = _kahan()
-    for m in range(1, depth + 1):
-        add((s[m] - s[m + 1]) / m)
-    return state["total"]
+    nu, _ = _q_r_roots(esp, r)
+    m = np.arange(1, depth + 1)
+    return math.fsum((nu[:, None] * (1.0 - nu[:, None]) ** m / m).real.ravel())
 
 
 def series_partial_sum_literal(esp: ESPVector, r: int, depth: int) -> float:
@@ -336,12 +281,12 @@ def series_partial_sum_literal(esp: ESPVector, r: int, depth: int) -> float:
     if depth < 1:
         raise OrderOutOfRangeError(f"depth={depth} must be >= 1")
     e_list = _truncated_e_list(esp, r)
-    add, state = _kahan()
+    terms = []
     for m in range(1, depth + 1):
         for k in range(1, m + 2):
             binom = math.comb(m, k - 1)
             for parts in _partitions(k, min(k, r)):
                 coeff = Fraction((-1) ** (k - 1) * binom, m) * _girard_newton_coeff(k, parts)
                 mono = math.prod(e_list[l] ** p for l, p in parts)
-                add(float(coeff) * mono)
-    return state["total"]
+                terms.append(float(coeff) * mono)
+    return math.fsum(terms)

@@ -3,13 +3,12 @@ optional interference simulation, and every cross-check residual."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .entropy import (
     PuritySequence,
-    SeriesControl,
     SeriesResult,
     linear_entropy,
     purities_from_esp,
@@ -32,7 +31,6 @@ class AnalysisOptions:
     r_max: int | None = None          # default min(n, 4)
     k_max: int = 8
     alphas: tuple[float, ...] = (2.0,)
-    series: SeriesControl = field(default_factory=SeriesControl)
     simulate_bunching: bool = False
 
 
@@ -99,7 +97,7 @@ def analyze(state: PureBipartiteState, options: AnalysisOptions | None = None) -
         "s_r": {},
     }
     for r in range(1, r_max + 1):
-        res = vn_series if r == n else s_r_truncated(esp, r, options.series)
+        res = vn_series if r == n else s_r_truncated(esp, r)
         s_r[str(r)] = res.value
         convergence["s_r"][str(r)] = {
             "terms_used": res.terms_used,

@@ -13,7 +13,6 @@ import pytest
 from espent import (
     AnalysisOptions,
     QuenchConfig,
-    SeriesControl,
     Spectrum,
     esp_from_spectrum,
     fermionic_encoding_probability,
@@ -94,20 +93,17 @@ def test_criterion_2_girard_newton():
 
 
 def test_criterion_3_von_neumann_series():
-    # rel_tol matched to the 1e-6 accuracy target; the default 1e-10 stopping
-    # rule needs ~1100 terms at lambda_min = 0.02 (terms decay like 0.98^m)
-    ctrl = SeriesControl(max_outer_terms=512, rel_tol=1e-8)
     worst = 0.0
     all_conv = True
     rng = np.random.default_rng(33)
     for k in range(100):
         n = int(rng.integers(2, 9))
         spec = _random_spectrum(n, seed=33_000 + k, lam_min=0.02)
-        res = von_neumann_series(esp_from_spectrum(spec), ctrl)
+        res = von_neumann_series(esp_from_spectrum(spec))
         all_conv = all_conv and res.converged
         worst = max(worst, abs(res.value - von_neumann_direct(spec)))
     _report(
-        "criterion 3: Taylor series matches -sum(lambda ln lambda) (<= 1e-6, <= 512 terms)",
+        "criterion 3: Taylor series matches -sum(lambda ln lambda) (<= 1e-6)",
         all_conv and worst <= 1e-6,
         f"worst residual {worst:.3e}, all converged: {all_conv}",
     )
@@ -121,9 +117,8 @@ def test_criterion_4_full_order_matches_von_neumann_series():
         n = int(rng.integers(2, 6))
         spec = _random_spectrum(n, seed=44_000 + k)
         esp = esp_from_spectrum(spec)
-        ctrl = SeriesControl(max_outer_terms=512)
-        a = s_r_truncated(esp, n, ctrl)
-        b = von_neumann_series(esp, ctrl)
+        a = s_r_truncated(esp, n)
+        b = von_neumann_series(esp)
         worst_matched = max(worst_matched, abs(a.value - b.value))
         # same identity checked against the literal partition-sum evaluation
         # (this resolves the enumeration ambiguity over the p_1 index)
@@ -140,7 +135,6 @@ def test_criterion_4_full_order_matches_von_neumann_series():
 
 
 def test_criterion_5_truncation_ladder():
-    ctrl = SeriesControl(max_outer_terms=4096)
     worst_ladder = -1.0
     worst_sn = 0.0
     rng = np.random.default_rng(55)
@@ -149,7 +143,7 @@ def test_criterion_5_truncation_ladder():
         state = random_haar_state(n, 8 * n, 55_000 + k)
         spec = spectrum(reduced_density_matrix(state))
         esp = esp_from_spectrum(spec)
-        vals = [s_r_truncated(esp, r, ctrl).value for r in range(2, n + 1)]
+        vals = [s_r_truncated(esp, r).value for r in range(2, n + 1)]
         for lo, hi in zip(vals, vals[1:]):
             worst_ladder = max(worst_ladder, lo - hi)
         worst_sn = max(worst_sn, abs(vals[-1] - von_neumann_direct(spec)))
@@ -217,7 +211,7 @@ def test_criterion_8_r_copy_generalization():
 def test_criterion_9_quench_demo():
     t0 = time.monotonic()
     cfg = QuenchConfig(model="tfi", length=8, cut=2, tmax=0.8, steps=16)
-    opts = AnalysisOptions(r_max=4, series=SeriesControl(max_outer_terms=16384))
+    opts = AnalysisOptions(r_max=4)
     traj = quench_trajectory(cfg, opts)
     elapsed = time.monotonic() - t0
 

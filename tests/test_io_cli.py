@@ -1,4 +1,5 @@
 import json
+import logging
 import re
 
 import numpy as np
@@ -207,19 +208,6 @@ def test_cli_analyze_bunching_too_large(tmp_path, caplog):
 @pytest.mark.parametrize(
     "options, message",
     [
-        (["--max-terms", "0"], "max_outer_terms=0; need >= 1"),
-        (["--tol", "0"], "rel_tol=0.0; need 0 < rel_tol < 1"),
-    ],
-)
-def test_cli_analyze_invalid_series_option(tmp_path, capsys, caplog, options, message):
-    assert main(["analyze", str(bell_json(tmp_path)), *options]) == EXIT_PARSE
-    assert [r.getMessage() for r in caplog.records] == [message]
-    assert capsys.readouterr().out == ""
-
-
-@pytest.mark.parametrize(
-    "options, message",
-    [
         (["--length", "4", "--cut", "2", "--tmax", "1", "--steps", "0"],
          "steps=0, tmax=1.0; need steps >= 1 and finite tmax >= 0"),
         (["--length", "4", "--cut", "2", "--tmax", "-1", "--steps", "2"],
@@ -241,13 +229,27 @@ def test_cli_analyze_non_finite_alpha(tmp_path, capsys, caplog, alpha):
     assert capsys.readouterr().out == ""
 
 
+def test_cli_analyze_alpha_not_a_number(tmp_path, capsys, caplog):
+    assert main(["analyze", str(bell_json(tmp_path)), "--alpha", "2,abc"]) == EXIT_PARSE
+    assert [r.getMessage() for r in caplog.records] == ["--alpha entry 'abc' is not a number"]
+    assert capsys.readouterr().out == ""
+
+
 def test_cli_analyze_strict_nonconvergence(tmp_path, capsys):
-    # S_2 < S_n still runs the series; q_2's roots near 0.998 and 0.002 make it slow
-    state = validate_state(np.diag(np.sqrt([0.998, 0.001, 0.001])))
-    path = tmp_path / "slow.json"
-    write_state_file(state, path)
-    code = main(["analyze", str(path), "--r-max", "2", "--max-terms", "10", "--strict"])
+    # Maximally mixed 12x12 state: the series for S_5 and S_6 diverge, with
+    # max |1 - nu| = 1.0059 and 1.0147 over the roots nu of q_5 and q_6.
+    path = tmp_path / "mixed.json"
+    write_state_file(validate_state(np.eye(12) / np.sqrt(12.0)), path)
+    code = main(["analyze", str(path), "--r-max", "6", "--strict"])
     assert code == EXIT_NOT_CONVERGED
+    conv = json.loads(capsys.readouterr().out)["convergence"]["s_r"]
+    assert [conv[str(r)]["converged"] for r in range(1, 7)] == [True] * 4 + [False] * 2
+
+
+def test_report_has_no_negative_zero():
+    state = validate_state(np.ones((1, 3)) / np.sqrt(3.0))
+    report = analyze(state, AnalysisOptions(alphas=(0.5, 2.0))).to_dict()
+    assert "-0.0" not in json.dumps(report)
 
 
 def test_cli_random_deterministic(tmp_path):
@@ -278,16 +280,36 @@ def test_cli_quench(tmp_path, capsys, caplog):
     table = capsys.readouterr().out
     lines = table.splitlines()
     assert lines[0].split() == ["time", "S_1", "S_2", "S_vN"]
-    # S_2 does not converge at t = 1/6 and 1/3; those cells read n/c.
+    # Every S_2 converges, including the product state at t = 0.
     s_2 = [line.split()[2] for line in lines[1:]]
-    assert s_2[1:3] == ["n/c", "n/c"]
-    for k in (0, 3):
-        value = records[k]["report"]["entropies"]["s_r"]["2"]
-        assert float(s_2[k]) == pytest.approx(value, abs=1e-8)
-    assert [rec["report"]["convergence"]["s_r"]["2"]["converged"] for rec in records] == [
-        True, False, False, True,
+    for cell, rec in zip(s_2, records):
+        assert float(cell) == pytest.approx(rec["report"]["entropies"]["s_r"]["2"], abs=1e-8)
+        assert rec["report"]["convergence"]["s_r"]["2"]["converged"]
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
+
+def test_cli_quench_marks_divergent_series(capsys, caplog):
+    # At t = 1.5 and 2 the series for S_7 and S_8 diverge: over the roots of
+    # q_7 and q_8, max |1 - nu| is 1.0025 and 1.0047 at t = 1.5.
+    code = main(
+        [
+            "quench", "--model", "xxz", "--length", "10", "--cut", "5",
+            "--tmax", "2", "--steps", "4", "--r-max", "8",
+        ]
+    )
+    assert code == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["time", *(f"S_{r}" for r in range(1, 9)), "S_vN"]
+    marked = {
+        (line.split()[0], r)
+        for line in lines[1:]
+        for r, cell in enumerate(line.split()[1:9], start=1)
+        if cell == "n/c"
+    }
+    assert marked == {("1.500000", 7), ("1.500000", 8), ("2.000000", 7), ("2.000000", 8)}
+    assert [r.getMessage() for r in caplog.records] == [
+        "4 S_r value(s) did not converge; printed as n/c"
     ]
-    assert any("2 S_r value(s) did not converge" in r.getMessage() for r in caplog.records)
 
 
 def test_cli_quench_bad_cut(capsys):

@@ -5,7 +5,6 @@ from espent import (
     AnalysisOptions,
     InvalidCutError,
     QuenchConfig,
-    SeriesControl,
     TooLargeError,
     build_hamiltonian,
     quench_trajectory,
@@ -124,7 +123,7 @@ def test_zero_field_conserves_initial_entropies():
 
 def test_quench_ladder_and_growth():
     cfg = QuenchConfig(model="tfi", length=6, cut=2, tmax=0.8, steps=8)
-    opts = AnalysisOptions(r_max=4, series=SeriesControl(max_outer_terms=4096))
+    opts = AnalysisOptions(r_max=4)
     traj = quench_trajectory(cfg, opts)
     svn = [rep.entropies["von_neumann_direct"] for _, rep in traj]
     # entanglement grows from zero at early times
