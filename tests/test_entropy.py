@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -231,6 +232,29 @@ def test_s_r_matches_roots_of_q_r_property(n, d, seed):
             res = s_r_truncated(esp, r)
             assert res.converged
             assert abs(res.value - value) <= 1e-8
+
+
+@pytest.mark.parametrize("n, seed", [(4, 1), (8, 1), (12, 1), (16, 1), (16, 2)])
+def test_s_r_matches_mpmath_roots(n, seed):
+    # 40-digit oracle from the SVD spectrum: ESPs by adding one eigenvalue at
+    # a time, then mp.polyroots of q_r.  Seed 2 at n = 16 adds the not
+    # converged branch: S_7 and S_8 there diverge (radius 1.00075, 1.00066).
+    esp = haar_esp(n, seed)
+    lams = np.linalg.svd(random_haar_state(n, n, seed).amplitudes, compute_uv=False) ** 2
+    with mp.workdps(40):
+        e = [mp.mpf(1)] + [mp.mpf(0)] * n
+        for lam in lams:
+            for k in range(n, 0, -1):
+                e[k] += mp.mpf(float(lam)) * e[k - 1]
+        for r in range(2, n):
+            nu = mp.polyroots([(-1) ** k * e[k] for k in range(r + 1)], maxsteps=200, extraprec=60)
+            radius = max(abs(1 - x) for x in nu)
+            res = s_r_truncated(esp, r)
+            if res.converged:
+                assert radius < 1
+                assert abs(res.value - float(-mp.re(mp.fsum(x * mp.log(x) for x in nu)))) <= 1e-10
+            else:
+                assert radius >= 1
 
 
 @pytest.mark.parametrize("r", [27, 31])

@@ -1,9 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import espent.quench
 from espent import (
     AnalysisOptions,
     InvalidCutError,
+    InvalidOptionError,
     QuenchConfig,
     TooLargeError,
     build_hamiltonian,
@@ -67,28 +73,112 @@ def test_hamiltonian_matches_kron_reference(length, model, coupling, field_stren
     np.testing.assert_allclose(h, kron_hamiltonian(cfg), rtol=0.0, atol=1e-14)
 
 
-@pytest.mark.parametrize("model", ["tfi", "xxz"])
-def test_trajectory_matches_kron_reference_evolution(model):
-    cfg = QuenchConfig(
-        model=model, length=8, cut=3, tmax=1.5, steps=3, coupling=0.7,
-        field_strength=1.3, anisotropy=-0.4,
-    )
-    traj = quench_trajectory(cfg, AnalysisOptions(r_max=2))
-    evals, evecs = np.linalg.eigh(kron_hamiltonian(cfg))
-    psi0 = np.zeros(2**8)
-    psi0[0 if model == "tfi" else 0b01010101] = 1.0
-    coeffs = evecs.conj().T @ psi0
-    for t, report in traj:
+def assert_matches_kron_evolution(cfg, r_max):
+    """Each report's spectrum, ESPs and S_vN against dense eigh of kron_hamiltonian."""
+    h = kron_hamiltonian(cfg)
+    assert not h.imag.any()
+    evals, evecs = np.linalg.eigh(h.real)
+    L = cfg.length
+    psi0 = np.zeros(2**L)
+    # up: all bits 0; Neel: spin down (bit 1) on the odd sites, site i is bit L-1-i
+    psi0[0 if cfg.model == "tfi" else sum(1 << (L - 1 - i) for i in range(1, L, 2))] = 1.0
+    coeffs = evecs.T @ psi0
+    n = 2**cfg.cut
+    for t, report in quench_trajectory(cfg, AnalysisOptions(r_max=r_max)):
         psi = evecs @ (np.exp(-1j * evals * t) * coeffs)
-        spec = np.linalg.svd(psi.reshape(8, 32), compute_uv=False) ** 2
+        spec = np.linalg.svd(psi.reshape(n, -1), compute_uv=False) ** 2
         # np.poly gives prod (x - p) = sum_k (-1)^k e_k x^(n-k)
-        esp = np.poly(spec)[1:] * (-1.0) ** np.arange(1, 9)
+        esp = np.poly(spec)[1:] * (-1.0) ** np.arange(1, n + 1)
         np.testing.assert_allclose(report.spectrum, spec, rtol=0.0, atol=1e-10)
         np.testing.assert_allclose(report.esp, esp, rtol=0.0, atol=1e-10)
         p = spec[spec > 0.0]
         assert report.entropies["von_neumann_direct"] == pytest.approx(
             -np.sum(p * np.log(p)), abs=1e-10
         )
+
+
+@pytest.mark.parametrize("model", ["tfi", "xxz"])
+def test_trajectory_matches_kron_reference_evolution(model):
+    cfg = QuenchConfig(
+        model=model, length=8, cut=3, tmax=1.5, steps=3, coupling=0.7,
+        field_strength=1.3, anisotropy=-0.4,
+    )
+    assert_matches_kron_evolution(cfg, r_max=2)
+
+
+# (J, h, Delta): the defaults, h = 0 with Delta > 1 and J < 0, and Delta = 0
+BLOCK_COUPLINGS = [(1.0, 1.0, 1.0), (-1.1, 0.0, 2.5), (0.7, 1.3, 0.0)]
+
+
+@pytest.mark.parametrize(
+    "length, cut, coupling, field_strength, anisotropy",
+    [(9, 1, *c) for c in BLOCK_COUPLINGS]
+    + [(9, 4, *c) for c in BLOCK_COUPLINGS]
+    + [(10, 5, *BLOCK_COUPLINGS[0])],
+)
+@pytest.mark.parametrize("model", ["tfi", "xxz"])
+def test_block_evolution_matches_kron_reference(
+    length, cut, coupling, field_strength, anisotropy, model
+):
+    # The spin-flip blocks, and within them only the indices psi0 reaches,
+    # must give the same trajectory as the full space
+    cfg = QuenchConfig(
+        model=model, length=length, cut=cut, tmax=1.5, steps=3, coupling=coupling,
+        field_strength=field_strength, anisotropy=anisotropy,
+    )
+    assert_matches_kron_evolution(cfg, r_max=3)
+
+
+finite_couplings = st.floats(-100.0, 100.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    length=st.integers(2, 8), model=st.sampled_from(["tfi", "xxz"]),
+    coupling=finite_couplings, field_strength=finite_couplings, anisotropy=finite_couplings,
+)
+def test_hamiltonian_commutes_with_spin_flip(length, model, coupling, field_strength, anisotropy):
+    # F: s -> s ^ (2^L - 1) reverses the index order, so F H F = h[::-1, ::-1];
+    # the block evolution relies on it holding exactly
+    cfg = QuenchConfig(
+        model=model, length=length, cut=1, tmax=1.0, steps=1, coupling=coupling,
+        field_strength=field_strength, anisotropy=anisotropy,
+    )
+    h = build_hamiltonian(cfg)
+    assert np.array_equal(h[::-1, ::-1], h)
+
+
+def _z_field_on_site_0(h, L):
+    # Z_0 is +1/-1 by the top bit, which F flips: breaks H[hi, hi] == A = H[lo, lo]
+    h[np.diag_indices(2**L)] += 0.3 * (1.0 - 2.0 * (np.arange(2**L) >> (L - 1)))
+
+
+def _asymmetric_flip_hop(h, L):
+    # A symmetric hop 0 <-> 2^(L-1) whose image under F is absent: breaks only
+    # H[hi, lo] == B = H[lo, F(lo)]
+    h[0, 2 ** (L - 1)] += 0.3
+    h[2 ** (L - 1), 0] += 0.3
+
+
+@pytest.mark.parametrize("perturb", [_z_field_on_site_0, _asymmetric_flip_hop])
+@pytest.mark.parametrize("model", ["tfi", "xxz"])
+def test_non_commuting_hamiltonian_raises(monkeypatch, perturb, model):
+    def build(config):
+        h = build_hamiltonian(config)
+        perturb(h, config.length)
+        return h
+
+    monkeypatch.setattr(espent.quench, "build_hamiltonian", build)
+    cfg = QuenchConfig(model=model, length=4, cut=2, tmax=1.0, steps=2)
+    with pytest.raises(RuntimeError, match="spin flip"):
+        quench_trajectory(cfg)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["coupling", "field_strength", "anisotropy"])
+def test_non_finite_couplings_rejected(field, value):
+    with pytest.raises(InvalidOptionError, match=field):
+        QuenchConfig(model="xxz", length=4, cut=2, tmax=1.0, steps=2, **{field: value})
 
 
 def test_initial_states():
