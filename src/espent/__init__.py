@@ -13,6 +13,7 @@ from .entropy import (
     SeriesResult,
     linear_entropy,
     purities_from_esp,
+    purities_from_spectrum,
     purities_recurrence,
     q_tilde,
     renyi_entropy,

@@ -1,8 +1,9 @@
 """Entropy measures built from elementary symmetric polynomials.
 
-The chain runs: ESPs -> higher-order purities Tr(rho^k) (Girard-Newton)
--> Taylor series for the von Neumann entropy -> truncated r-th-order
-entropies that use only e_1 ... e_r.
+The chain runs: ESPs -> higher-order purities Tr(rho^k) (Girard-Newton;
+analyze sums lambda^k over the spectrum instead) -> Taylor series for the
+von Neumann entropy -> truncated r-th-order entropies that use only
+e_1 ... e_r.
 
 Closed form.  The von Neumann Taylor expansion is
 
@@ -108,7 +109,7 @@ def von_neumann_direct(spec: Spectrum) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Girard-Newton purities
+# Purities: power sums, Girard-Newton partition formula, Newton recurrence
 # ---------------------------------------------------------------------------
 
 def _partitions(k: int, max_part: int):
@@ -174,8 +175,19 @@ def purities_from_esp(esp: ESPVector, K: int) -> PuritySequence:
     return PuritySequence(values=tuple(vals))
 
 
+def purities_from_spectrum(spec: Spectrum, K: int) -> PuritySequence:
+    """Tr(rho^k) = sum_j lambda_j^k for k = 1..K, each sum exactly rounded.
+
+    The route analyze uses: K n powers, where the partition formula's cost
+    grows exponentially in K.  K < 1 gives no purity: OrderOutOfRangeError.
+    """
+    return PuritySequence(
+        values=tuple(math.fsum(lam**k for lam in spec.eigenvalues) for k in range(1, K + 1))
+    )
+
+
 def purities_recurrence(esp: ESPVector, K: int) -> PuritySequence:
-    """Tr(rho^k) via the Newton recurrence; cross-check for the partition route.
+    """Tr(rho^k) via the Newton recurrence; cross-check for the power sums.
 
     p_k = e_1 p_{k-1} - e_2 p_{k-2} + ... + (-1)^(k-1) k e_k  (k <= n),
     with the trailing term dropped for k > n.

@@ -40,23 +40,36 @@ def write_state_file(state: PureBipartiteState, path) -> None:
     Path(path).write_text(serialize_state(state))
 
 
+# json.loads gives exactly these types for numbers; bool is not among them.
+_REAL = (int, float)
+
+
+def _amplitude(entry) -> complex:
+    if type(entry) is dict:
+        real, imag = entry.get("re"), entry.get("im")
+        if type(real) in _REAL and type(imag) in _REAL:
+            try:
+                return complex(real, imag)
+            except OverflowError as exc:  # an integer too large for a float
+                raise ParseError(f"bad amplitude entry: {exc}") from exc
+    raise ParseError("bad amplitude entry: need an object with real numbers re and im")
+
+
 def _parse_state_dict(doc: dict, renormalize: bool) -> PureBipartiteState:
     try:
-        n = int(doc["n"])
-        d = int(doc["d"])
-        rows = doc["amplitudes"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"missing or malformed field: {exc}") from exc
+        n, d, rows = doc["n"], doc["d"], doc["amplitudes"]
+    except KeyError as exc:
+        raise ParseError(f"missing field: {exc}") from exc
+    for name, value in (("n", n), ("d", d)):
+        if type(value) is not int:
+            raise ParseError(f"{name} must be an integer, not {type(value).__name__}")
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ParseError("amplitudes must be a list of rows, each a list")
     if len(rows) != n or any(len(row) != d for row in rows):
         raise DimensionMismatchError(
             f"amplitudes shape ({len(rows)} x ...) does not match n={n}, d={d}"
         )
-    try:
-        raw = np.array(
-            [[complex(c["re"], c["im"]) for c in row] for row in rows], dtype=complex
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad amplitude entry: {exc}") from exc
+    raw = np.array([[_amplitude(c) for c in row] for row in rows], dtype=complex)
     return validate_state(raw, renormalize=renormalize)
 
 
@@ -92,9 +105,11 @@ def parse_state_file(path, renormalize: bool = False) -> PureBipartiteState:
         raise ParseError(f"cannot read {p}: {exc}") from exc
     if p.suffix.lower() == ".csv":
         return _parse_state_csv(text, renormalize)
+    # JSONDecodeError is a ValueError, as is an integer of over 4300 digits;
+    # json.loads raises RecursionError on arrays or objects nested too deep.
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON in {p}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"expected a JSON object in {p}")

@@ -11,7 +11,8 @@ from .entropy import (
     PuritySequence,
     SeriesResult,
     linear_entropy,
-    purities_from_esp,
+    purities_from_esp,  # noqa: F401  the benchmark tracer (bench/spans.py) wraps this name
+    purities_from_spectrum,
     purities_recurrence,
     q_tilde,
     renyi_entropy,
@@ -19,9 +20,13 @@ from .entropy import (
     von_neumann_direct,
     von_neumann_series,  # noqa: F401  the benchmark tracer (bench/spans.py) wraps this name
 )
+from .errors import InvalidOptionError
 from .fermions import fermionic_encoding_probability
-from .states import PureBipartiteState, reduced_density_matrix, spectrum
-from .volumes import esp_from_charpoly, esp_from_spectrum
+from .states import PureBipartiteState, reduced_density_matrix, schmidt_spectrum, spectrum
+from .volumes import (
+    esp_from_charpoly,  # noqa: F401  the benchmark tracer (bench/spans.py) wraps this name
+    esp_from_spectrum,
+)
 
 SCHEMA_VERSION = 3
 
@@ -32,6 +37,12 @@ class AnalysisOptions:
     k_max: int = 8
     alphas: tuple[float, ...] = (2.0,)
     simulate_bunching: bool = False
+
+    def __post_init__(self):
+        if self.r_max is not None and self.r_max < 1:
+            raise InvalidOptionError(f"r_max={self.r_max}; need r_max >= 1")
+        if self.k_max < 1:
+            raise InvalidOptionError(f"k_max={self.k_max}; need k_max >= 1")
 
 
 @dataclass(frozen=True)
@@ -64,24 +75,26 @@ class AnalysisReport:
 def analyze(state: PureBipartiteState, options: AnalysisOptions | None = None) -> AnalysisReport:
     """Run the full measurement stack on one state.
 
-    Every quantity that has two independent computation routes is computed
-    both ways and the residual reported; nothing is silently dropped.
+    The spectrum is the squared singular values of psi, whose small
+    eigenvalues come out with relative accuracy; the ESPs and purities are
+    computed from it.  Each is checked against a second route and the
+    residual reported: the ESPs against those of eigvalsh(rho), the purities
+    against Newton's recurrence on the ESPs.
     """
     if options is None:
         options = AnalysisOptions()
-    rho = reduced_density_matrix(state, side="M")
-    spec = spectrum(rho)
+    spec = schmidt_spectrum(state)
     n = state.n
     r_max = options.r_max if options.r_max is not None else min(n, 4)
     r_max = min(r_max, n)
 
     esp = esp_from_spectrum(spec)
-    esp_cp = esp_from_charpoly(rho)
+    esp_eig = esp_from_spectrum(spectrum(reduced_density_matrix(state, side="M")))
     esp_route_residual = float(
-        np.max(np.abs(np.array(esp.values) - np.array(esp_cp.values)))
+        np.max(np.abs(np.array(esp.values) - np.array(esp_eig.values)))
     )
 
-    purities = purities_from_esp(esp, options.k_max)
+    purities = purities_from_spectrum(spec, options.k_max)
     purity_residual = _purity_residual(purities, purities_recurrence(esp, options.k_max))
 
     # The series at r = n sums over the spectrum itself: read it off directly.

@@ -96,14 +96,18 @@ def validate_state(raw, renormalize: bool = False) -> PureBipartiteState:
 
     The global norm must be within NORM_TOL of 1 unless ``renormalize`` is
     set, in which case the state is rescaled and the applied factor recorded
-    on the returned object.  NaN or infinite amplitudes raise NormError.
+    on the returned object.  NaN or infinite amplitudes, and a norm too
+    large for a float, raise NormError.
     """
     raw = np.asarray(raw, dtype=complex)
     if raw.ndim != 2 or raw.size == 0:
         raise DimensionMismatchError(f"expected a nonempty 2-d matrix, got shape {raw.shape}")
     if not np.isfinite(raw).all():
         raise NormError("state has a NaN or infinite amplitude")
-    norm = float(np.linalg.norm(raw))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(raw))
+    if norm == math.inf:  # amplitudes above ~1e154: renormalizing would zero them
+        raise NormError("state norm overflows a float")
     if norm < ZERO_NORM_TOL:
         raise ZeroStateError(f"state norm {norm} below {ZERO_NORM_TOL}")
     factor = 1.0

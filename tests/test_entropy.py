@@ -15,6 +15,7 @@ from espent import (
     esp_from_spectrum,
     linear_entropy,
     purities_from_esp,
+    purities_from_spectrum,
     purities_recurrence,
     q_tilde,
     random_haar_state,
@@ -142,6 +143,22 @@ def test_purity_routes_and_direct_oracle():
         direct = [math.fsum(l**k for l in spec.eigenvalues) for k in range(1, 11)]
         np.testing.assert_allclose(a.values, direct, atol=1e-9)
         np.testing.assert_allclose(a.values, b.values, atol=1e-9)
+
+
+def test_purities_from_spectrum():
+    bell = Spectrum(eigenvalues=(0.5, 0.5))
+    assert purities_from_spectrum(bell, 4).values == (1.0, 0.5, 0.25, 0.125)
+    assert purities_from_spectrum(Spectrum(eigenvalues=(1.0, 0.0)), 3).values == (1.0,) * 3
+    for seed in range(5):
+        spec = random_spectrum(6, seed)
+        np.testing.assert_allclose(
+            purities_from_spectrum(spec, 10).values,
+            purities_from_esp(esp_from_spectrum(spec), 10).values,
+            rtol=0.0,
+            atol=1e-15,
+        )
+    with pytest.raises(OrderOutOfRangeError):
+        purities_from_spectrum(bell, 0)
 
 
 def test_purity_order_errors():

@@ -1,19 +1,26 @@
 import json
 import logging
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import espent.report
 from espent import (
     AnalysisOptions,
     DimensionMismatchError,
+    EspentError,
     NormError,
     ParseError,
+    PureBipartiteState,
     Spectrum,
     analyze,
     parse_state_file,
     random_haar_state,
+    schmidt_spectrum,
     serialize_state,
     validate_state,
     write_state_file,
@@ -82,6 +89,105 @@ def test_parse_dimension_mismatch(tmp_path):
         parse_state_file(path)
 
 
+ONE = [[{"re": 1.0, "im": 0.0}]]
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"n": 1, "d": 2, "amplitudes": 5}, "amplitudes must be a list"),
+        ({"n": 1, "d": 1, "amplitudes": [5]}, "amplitudes must be a list"),
+        ({"n": 1, "d": 1, "amplitudes": {"0": ONE[0]}}, "amplitudes must be a list"),
+        ({"n": 1.9, "d": 1, "amplitudes": ONE}, "n must be an integer, not float"),
+        ({"n": 1, "d": 1.0, "amplitudes": ONE}, "d must be an integer, not float"),
+        ({"n": True, "d": 1, "amplitudes": ONE}, "n must be an integer, not bool"),
+        ({"n": "1", "d": 1, "amplitudes": ONE}, "n must be an integer, not str"),
+        ({"n": 1, "d": 1, "amplitudes": [[{"re": True, "im": 0.0}]]}, "bad amplitude entry"),
+        ({"n": 1, "d": 1, "amplitudes": [[{"re": 1.0, "im": False}]]}, "bad amplitude entry"),
+        ({"n": 1, "d": 1, "amplitudes": [[{"re": "1", "im": 0.0}]]}, "bad amplitude entry"),
+        ({"n": 1, "d": 1, "amplitudes": [[{"re": 1.0}]]}, "bad amplitude entry"),
+        ({"n": 1, "d": 1, "amplitudes": [[[1.0, 0.0]]]}, "bad amplitude entry"),
+        ({"n": 1, "d": 1, "amplitudes": [[{"re": 10**400, "im": 0}]]}, "too large"),
+        ({"d": 1, "amplitudes": ONE}, "missing field: 'n'"),
+    ],
+)
+def test_parse_malformed_json_shapes(tmp_path, caplog, capsys, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse_state_file(path)
+    assert main(["analyze", str(path)]) == EXIT_PARSE
+    assert len(caplog.records) == 1
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "text", ["1" * 5000, "[" * 100_000 + "]" * 100_000], ids=["long-integer", "deep-nesting"]
+)
+def test_parse_json_beyond_the_decoder_limits(tmp_path, text):
+    # Integers longer than 4300 digits and nesting deeper than the
+    # interpreter's recursion limit are refused by json.loads itself.
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    with pytest.raises(ParseError, match="invalid JSON"):
+        parse_state_file(path)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=12,
+)
+AMPLITUDE = st.fixed_dictionaries(
+    {}, optional={"re": JSON_VALUES, "im": JSON_VALUES | st.floats(-1, 1)}
+) | JSON_VALUES
+# Documents close to a state file, so that the checks past the top-level
+# keys are reached as well as the decoder's.
+STATE_DOCS = st.fixed_dictionaries(
+    {},
+    optional={
+        "n": st.integers(0, 3) | JSON_VALUES,
+        "d": st.integers(0, 3) | JSON_VALUES,
+        "amplitudes": st.lists(st.lists(AMPLITUDE, max_size=3) | JSON_VALUES, max_size=3)
+        | JSON_VALUES,
+    },
+)
+NUMBER_TEXT = st.floats().map(repr) | st.integers().map(str) | st.text(max_size=3)
+CSV_TEXT = st.text(st.characters(codec="utf-8")) | st.lists(
+    st.lists(NUMBER_TEXT, max_size=6).map(",".join), max_size=4
+).map("\n".join)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def parses_or_refuses(path) -> None:
+    try:
+        state = parse_state_file(path)
+    except EspentError:
+        return
+    assert isinstance(state, PureBipartiteState)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=STATE_DOCS | JSON_VALUES)
+def test_fuzz_json_state_files(fuzz_dir, doc):
+    path = fuzz_dir / "state.json"
+    path.write_text(json.dumps(doc))
+    parses_or_refuses(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=CSV_TEXT)
+def test_fuzz_csv_state_files(fuzz_dir, text):
+    path = fuzz_dir / "state.csv"
+    path.write_text(text, encoding="utf-8")
+    parses_or_refuses(path)
+
+
 def test_parse_missing_file(tmp_path):
     path = tmp_path / "absent.json"
     with pytest.raises(ParseError, match="absent.json"):
@@ -118,6 +224,38 @@ def test_analyze_report_fields():
     assert d["residuals"]["esp_routes_max"] < 1e-8
     assert d["entropies"]["s_r"]["2"] == d["entropies"]["von_neumann_series"]
     assert d["bunching"] is None  # off by default
+
+
+def test_analyze_calls_neither_partition_formula_nor_charpoly(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("analyze took a library-only route")
+
+    monkeypatch.setattr(espent.report, "purities_from_esp", refuse)
+    monkeypatch.setattr(espent.report, "esp_from_charpoly", refuse)
+    options = AnalysisOptions(r_max=8, k_max=64, simulate_bunching=True)
+    report = analyze(random_haar_state(8, 8, 1), options).to_dict()
+    assert len(report["spectrum"]) == len(report["esp"]) == 8
+    assert len(report["purities"]) == 64
+    assert sorted(report["entropies"]["s_r"], key=int) == [str(r) for r in range(1, 9)]
+    assert all(v is not None for v in report["residuals"].values())
+
+
+@pytest.mark.parametrize("n, d", [(1, 3), (3, 1), (4, 2), (5, 5), (8, 3), (6, 9)])
+def test_analyze_purities_are_power_sums_of_the_svd_spectrum(n, d):
+    for state in (random_haar_state(n, d, 3), random_product_state(n, d, seed=3)):
+        lam = schmidt_spectrum(state).eigenvalues
+        report = analyze(state, AnalysisOptions(k_max=12))
+        assert report.spectrum == lam
+        assert report.purities == tuple(
+            math.fsum(x**k for x in lam) for k in range(1, 13)
+        )
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_analyze_route_residuals_on_haar_states(n):
+    residuals = analyze(random_haar_state(n, n, 1)).residuals
+    assert residuals["esp_routes_max"] <= 1e-14
+    assert residuals["purity_routes_max"] <= 1e-14
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -217,6 +355,25 @@ def test_cli_analyze_bunching_too_large(tmp_path, caplog):
 )
 def test_cli_quench_invalid_option(capsys, caplog, options, message):
     assert main(["quench", "--model", "xxz", *options]) == EXIT_PARSE
+    assert [r.getMessage() for r in caplog.records] == [message]
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["analyze", "--r-max", "0"], "r_max=0; need r_max >= 1"),
+        (["analyze", "--r-max", "-3"], "r_max=-3; need r_max >= 1"),
+        (["analyze", "--k-max", "0"], "k_max=0; need k_max >= 1"),
+        (["analyze", "--k-max", "-1"], "k_max=-1; need k_max >= 1"),
+        (["quench", "--model", "tfi", "--length", "4", "--cut", "2", "--tmax", "1",
+          "--steps", "2", "--r-max", "0"], "r_max=0; need r_max >= 1"),
+    ],
+)
+def test_cli_order_options_below_one(tmp_path, capsys, caplog, command, message):
+    if command[0] == "analyze":
+        command = ["analyze", str(bell_json(tmp_path)), *command[1:]]
+    assert main(command) == EXIT_PARSE
     assert [r.getMessage() for r in caplog.records] == [message]
     assert capsys.readouterr().out == ""
 

@@ -49,6 +49,17 @@ def test_validate_rejects_non_finite(bad, renormalize):
         validate_state(raw, renormalize=renormalize)
 
 
+@pytest.mark.parametrize("big", [1.35e154, complex(0.0, -1e300)])
+@pytest.mark.parametrize("renormalize", [False, True])
+def test_validate_rejects_norm_overflow(big, renormalize):
+    # |psi|^2 overflows to inf, and renormalizing by 1/inf would zero the state.
+    raw = np.array([[big, 0.0], [0.0, big]], dtype=complex)
+    with pytest.raises(NormError, match="overflows"):
+        validate_state(raw, renormalize=renormalize)
+    s = validate_state(np.eye(2) * 1e150, renormalize=True)
+    assert abs(s.norm - 1.0) < 1e-12
+
+
 def test_validate_dimension_errors():
     with pytest.raises(DimensionMismatchError):
         validate_state(np.ones(3))
