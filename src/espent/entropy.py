@@ -257,8 +257,8 @@ def s_r_truncated(esp: ESPVector, r: int) -> SeriesResult:
     the roots are the spectrum and this is von_neumann_series.
     """
     if r == 1:
-        # (0.0 - x gives +0.0 at e_1 = 1.)
-        return SeriesResult(value=0.0 - esp[1] * math.log(esp[1]), terms_used=1, converged=True)
+        # -e_1 ln e_1 = 0: e_1 = Tr rho = 1, held to 1e-10 by ESPVector.
+        return SeriesResult(value=0.0, terms_used=1, converged=True)
     nu, certified = _q_r_roots(esp, r)
     value = 0.0 - math.fsum((nu * np.log(nu)).real)
     radius = float(np.max(np.abs(1.0 - nu), initial=0.0))

@@ -13,10 +13,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ParseError
+from .errors import DimensionMismatchError, ParseError, TooLargeError
 from .states import PureBipartiteState, validate_state
 
 STATE_SCHEMA_VERSION = 1
+
+# Largest n*d a state file may hold: 2^24 amplitudes, 256 MiB as complex.
+MAX_AMPLITUDES = 1 << 24
 
 
 def state_to_dict(state: PureBipartiteState) -> dict:
@@ -63,6 +66,7 @@ def _parse_state_dict(doc: dict, renormalize: bool) -> PureBipartiteState:
     for name, value in (("n", n), ("d", d)):
         if type(value) is not int:
             raise ParseError(f"{name} must be an integer, not {type(value).__name__}")
+    _check_size(n * d)
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ParseError("amplitudes must be a list of rows, each a list")
     if len(rows) != n or any(len(row) != d for row in rows):
@@ -79,6 +83,7 @@ def _parse_state_csv(text: str, renormalize: bool) -> PureBipartiteState:
         raise ParseError("empty CSV state file")
     parsed = []
     width = len(rows[0])
+    _check_size(len(rows) * width // 2)
     for row in rows:
         if len(row) != width:
             raise DimensionMismatchError("ragged CSV rows")
@@ -94,6 +99,11 @@ def _parse_state_csv(text: str, renormalize: bool) -> PureBipartiteState:
         [[complex(row[2 * i], row[2 * i + 1]) for i in range(width // 2)] for row in parsed]
     )
     return validate_state(raw, renormalize=renormalize)
+
+
+def _check_size(amplitudes: int) -> None:
+    if amplitudes > MAX_AMPLITUDES:
+        raise TooLargeError(f"state of {amplitudes} amplitudes exceeds {MAX_AMPLITUDES}")
 
 
 def parse_state_file(path, renormalize: bool = False) -> PureBipartiteState:

@@ -12,6 +12,7 @@ from espent import (
     OrderOutOfRangeError,
     PuritySequence,
     Spectrum,
+    analyze,
     esp_from_spectrum,
     linear_entropy,
     purities_from_esp,
@@ -225,7 +226,14 @@ def test_s_r_examples():
 def test_s_1_is_zero_when_trace_misses_one_by_an_ulp(e1):
     res = s_r_truncated(ESPVector(n=2, values=(e1, 0.1)), 1)
     assert res.converged
-    assert abs(res.value) < 1e-15
+    assert math.copysign(1.0, res.value) == 1.0 and res.value == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 64])
+def test_s_1_is_positive_zero_on_haar_states(n):
+    for seed in range(3):
+        s_1 = analyze(random_haar_state(n, n, seed)).entropies["s_r"]["1"]
+        assert math.copysign(1.0, s_1) == 1.0 and s_1 == 0.0
 
 
 @pytest.mark.parametrize("n", [8, 16, 32, 64])

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import espent.fermions
 from espent import (
     OrderOutOfRangeError,
     TooLargeError,
@@ -16,6 +19,7 @@ from espent import (
     fermionic_encoding_probability,
     random_haar_state,
     reduced_density_matrix,
+    schmidt_spectrum,
     spectrum,
     validate_state,
 )
@@ -149,6 +153,52 @@ def test_build_two_copy_rejects_oversized():
     s = validate_state(np.ones((1, 4097)) / np.sqrt(4097.0))
     with pytest.raises(TooLargeError):
         build_two_copy_state(s)
+    with pytest.raises(TooLargeError, match="exceeds 4096"):
+        fermionic_encoding_probability(s)
+
+
+def _whole_block_probability(s):
+    return bunching_probability(beamsplitter_transform(build_two_copy_state(s)))
+
+
+# Tile sizes of 7 and 50 amplitudes split these sizes into single tiles,
+# ragged edge tiles and one (i1, i2) pair per tile.
+@pytest.mark.parametrize("tile", [7, 50, espent.fermions._TILE])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 9])
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 9])
+def test_tiled_protocol_matches_whole_blocks(monkeypatch, tile, n, d):
+    s = random_haar_state(n, d, seed=100 * n + d)
+    monkeypatch.setattr(espent.fermions, "_TILE", tile)
+    assert abs(fermionic_encoding_probability(s) - _whole_block_probability(s)) <= 1e-15
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    d=st.integers(1, 12),
+    tile=st.sampled_from([1, 7, 50, 1 << 14]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tiled_protocol_equals_e2_property(n, d, tile, seed):
+    s = random_haar_state(n, d, seed)
+    e2 = esp_from_spectrum(schmidt_spectrum(s))[2] if n >= 2 else 0.0
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(espent.fermions, "_TILE", tile)
+        assert fermionic_encoding_probability(s) == pytest.approx(e2, abs=1e-13)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_tiled_protocol_peak_memory(n):
+    # One whole port block is 16 MiB at 32x32 and 256 MiB at 64x64.
+    s = random_haar_state(n, n, seed=1)
+    tracemalloc.start()
+    try:
+        p = fermionic_encoding_probability(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+    assert p == pytest.approx(esp_from_spectrum(schmidt_spectrum(s))[2], abs=1e-13)
 
 
 @pytest.mark.parametrize("n", range(1, 6))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import espent.io
 import espent.report
 from espent import (
     AnalysisOptions,
@@ -17,6 +18,7 @@ from espent import (
     ParseError,
     PureBipartiteState,
     Spectrum,
+    TooLargeError,
     analyze,
     parse_state_file,
     random_haar_state,
@@ -87,6 +89,32 @@ def test_parse_dimension_mismatch(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(DimensionMismatchError):
         parse_state_file(path)
+
+
+def assert_refused_as_too_large(path, caplog, capsys):
+    with pytest.raises(TooLargeError, match="exceeds"):
+        parse_state_file(path)
+    assert main(["analyze", str(path)]) == EXIT_PARSE
+    assert len(caplog.records) == 1 and "exceeds" in caplog.text
+    assert capsys.readouterr().out == ""
+
+
+def test_parse_json_header_too_large(tmp_path, caplog, capsys):
+    # 4096 * 4097 amplitudes, 4096 over the limit: the header alone refuses it.
+    assert 4096 * 4097 > espent.io.MAX_AMPLITUDES >= 4096 * 4096
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 4096, "d": 4097, "amplitudes": [[{"re": "x"}]]}))
+    assert_refused_as_too_large(path, caplog, capsys)
+
+
+def test_parse_csv_too_large(tmp_path, caplog, capsys, monkeypatch):
+    # Refused from the row count and width, before the bad entry is parsed.
+    monkeypatch.setattr(espent.io, "MAX_AMPLITUDES", 5)
+    path = tmp_path / "wide.csv"
+    path.write_text("x,0,1,0\n0,0,1,0\n0,0,1,0\n")
+    assert_refused_as_too_large(path, caplog, capsys)
+    path.write_text("1,0,0,0\n0,0,1,0\n")
+    assert parse_state_file(path, renormalize=True).n == 2
 
 
 ONE = [[{"re": 1.0, "im": 0.0}]]

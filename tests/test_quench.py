@@ -200,6 +200,14 @@ def test_product_initial_state_has_zero_entropy():
         assert v == pytest.approx(0.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("model", ["tfi", "xxz"])
+def test_s_1_is_positive_zero_along_a_quench(model):
+    cfg = QuenchConfig(model=model, length=8, cut=4, tmax=2.0, steps=10)
+    for _, report in quench_trajectory(cfg, AnalysisOptions()):
+        s_1 = report.entropies["s_r"]["1"]
+        assert math.copysign(1.0, s_1) == 1.0 and s_1 == 0.0
+
+
 def test_zero_field_conserves_initial_entropies():
     # |up...up> is a Z-basis product state; with h=0 the TFI Hamiltonian is
     # diagonal in Z, so the state only picks up a phase
