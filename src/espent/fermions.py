@@ -13,9 +13,9 @@ amplitude of b+_(p,a) b+_(q,b); for p == q the array is antisymmetric in
 (a, b) and the state is (1/2) sum_ab X[a, b] b+_(p,a) b+_(p,b), so double
 occupation of a mode is zero by construction.
 
-fermionic_encoding_probability runs the protocol on tiles of (i1, i2),
-which the level-preserving transform never mixes, in four reused buffers
-of about 256 KiB instead of four (n d)^2 blocks.
+fermionic_encoding_probability reads the bunching weight off tiles of
+(i1, i2), which the level-preserving transform never mixes, in two reused
+buffers of about 256 KiB instead of whole (n d)^2 blocks.
 """
 
 from __future__ import annotations
@@ -33,10 +33,10 @@ IN_PORTS = (1, 2)
 OUT_PORTS = (3, 4)
 
 # Largest n*d simulated.  A whole port block holds (n*d)^2 amplitudes (256 MiB
-# at 64x64); fermionic_encoding_probability holds only four tiles of it.
+# at 64x64); fermionic_encoding_probability holds only two tiles of it.
 MAX_STATE_SIZE = 64 * 64
 
-# Amplitudes per port block in one tile of fermionic_encoding_probability
+# Amplitudes in each of the two tile buffers of fermionic_encoding_probability
 # (256 KiB); a tile spans at least one (i1, i2) pair.
 _TILE = 1 << 14
 
@@ -96,27 +96,57 @@ def build_two_copy_state(state: PureBipartiteState) -> TwoFermionJointState:
 
 
 def beamsplitter_transform(js: TwoFermionJointState) -> TwoFermionJointState:
-    """Apply the 50:50 mode transformation to every port block (unitary)."""
+    """Apply the 50:50 mode transformation to every port block (unitary).
+
+    Each operator pair b+_(p,a) b+_(q,b) expands into four output pairs; a
+    pair in reverse port order is reordered with a fermionic minus sign, and
+    a same-port pair is antisymmetrized in its levels.
+    """
     if not js.ports() <= set(IN_PORTS):
         raise WrongPortDomainError(f"expected ports {IN_PORTS}, found {sorted(js.ports())}")
-    return TwoFermionJointState(d=js.d, terms=_transform_terms(js.terms))
+    acc: dict[tuple[int, int], np.ndarray] = {}
+    for (p, q), x in js.terms.items():
+        weight = 0.5 if p == q else 1.0
+        xt = x.swapaxes(0, 1)
+        for q1, c1 in _SPLITTER[p]:
+            for q2, c2 in _SPLITTER[q]:
+                c = weight * c1 * c2
+                key = (min(q1, q2), max(q1, q2))
+                if q1 < q2:
+                    y = np.multiply(x, c)
+                elif q1 > q2:
+                    y = np.multiply(xt, -c)
+                else:
+                    y = np.subtract(x, xt)
+                    y *= c
+                if key in acc:
+                    acc[key] += y
+                else:
+                    acc[key] = y
+                del y  # a temporary term is freed before the next is built
+    return TwoFermionJointState(d=js.d, terms=acc)
 
 
 def bunching_probability(js_out: TwoFermionJointState) -> float:
-    """Probability that both fermions share an output port."""
+    """Probability that both fermions share an output port: (1/2) sum ||X||^2
+    over the same-port blocks, one math.fsum term per leading level."""
     if not js_out.ports() <= set(OUT_PORTS):
         raise WrongPortDomainError(
             f"expected ports {OUT_PORTS}, found {sorted(js_out.ports())}"
         )
-    return float(_same_port_weight(js_out.terms))
+    return 0.5 * math.fsum(
+        np.vdot(row, row).real for (p, q), x in js_out.terms.items() if p == q for row in x
+    )
 
 
 def fermionic_encoding_probability(state: PureBipartiteState) -> float:
     """Full protocol: build two copies, interfere, read the bunching weight.
 
-    The same arithmetic as the three steps above, run on one (i1, i2) tile
-    of the input block at a time; every tile is written into the same four
-    buffers, and ragged edge tiles use slices of them.
+    The same-port output blocks are (3, 3) = (1/2)(X - X^T) and (4, 4) =
+    -(1/2)(X - X^T), X the (1, 2) input block (pinned by
+    tests/test_fermions.py::test_same_port_blocks_are_half_antisymmetric_part),
+    so the weight is ||X - X^T||^2 / 4.  It is summed one (i1, i2) tile at a
+    time in two buffers allocated once per call; ragged edge tiles use slices.
     """
     _check_size(state)
     psi = state.amplitudes
@@ -124,16 +154,16 @@ def fermionic_encoding_probability(state: PureBipartiteState) -> float:
     t2 = min(d, max(1, _TILE // (n * n)))
     t1 = min(d, max(1, _TILE // (n * n * t2)))
     x = np.empty((n, n, t1, t2), dtype=complex)
-    out = {key: np.empty_like(x) for key in ((3, 3), (3, 4), (4, 4))}
+    y = np.empty_like(x)
     total = 0.0
     for s1 in range(0, d, t1):
         for s2 in range(0, d, t2):
             tile = (..., slice(min(t1, d - s1)), slice(min(t2, d - s2)))
             col1, col2 = psi[:, None, s1 : s1 + t1, None], psi[None, :, None, s2 : s2 + t2]
             np.multiply(col1, col2, out=x[tile])
-            terms = _transform_terms({(1, 2): x[tile]}, {k: b[tile] for k, b in out.items()})
-            total += _same_port_weight(terms)
-    return float(total)
+            np.subtract(x[tile], x[tile].swapaxes(0, 1), out=y[tile])
+            total += np.vdot(y[tile], y[tile]).real
+    return float(0.25 * total)
 
 
 def _check_size(state: PureBipartiteState) -> None:
@@ -141,43 +171,6 @@ def _check_size(state: PureBipartiteState) -> None:
         raise TooLargeError(
             f"n*d = {state.n * state.d} exceeds {MAX_STATE_SIZE} for the bunching simulation"
         )
-
-
-def _transform_terms(terms, out=None) -> dict:
-    """The 50:50 mode transform on port blocks {(p, q): X}.
-
-    Each operator pair b+_(p,a) b+_(q,b) expands into four output pairs; a
-    pair in reverse port order is reordered with a fermionic minus sign, and
-    a same-port pair is antisymmetrized in its levels.  The first term of
-    each output pair is written into out[pair] when out is given.
-    """
-    acc: dict[tuple[int, int], np.ndarray] = {}
-    for (p, q), x in terms.items():
-        weight = 0.5 if p == q else 1.0
-        xt = x.swapaxes(0, 1)
-        for q1, c1 in _SPLITTER[p]:
-            for q2, c2 in _SPLITTER[q]:
-                c = weight * c1 * c2
-                key = (min(q1, q2), max(q1, q2))
-                dst = out[key] if out is not None and key not in acc else None
-                if q1 < q2:
-                    y = np.multiply(x, c, out=dst)
-                elif q1 > q2:
-                    y = np.multiply(xt, -c, out=dst)
-                else:
-                    y = np.subtract(x, xt, out=dst)
-                    y *= c
-                if key in acc:
-                    acc[key] += y
-                else:
-                    acc[key] = y
-                del y  # a temporary term is freed before the next is built
-    return acc
-
-
-def _same_port_weight(terms) -> float:
-    """(1/2) sum ||X||^2 over the same-port blocks: the bunching weight."""
-    return 0.5 * sum(np.vdot(x, x).real for (p, q), x in terms.items() if p == q)
 
 
 def antisym_weight(rho: ReducedDensityMatrix, r: int) -> float:

@@ -18,7 +18,7 @@ from .states import PureBipartiteState, validate_state
 
 STATE_SCHEMA_VERSION = 1
 
-# Largest n*d a state file may hold: 2^24 amplitudes, 256 MiB as complex.
+# Most amplitudes a state file or a quench's kets may hold: 2^24, 256 MiB as complex.
 MAX_AMPLITUDES = 1 << 24
 
 

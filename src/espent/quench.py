@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidCutError, InvalidOptionError, TooLargeError
+from .io import MAX_AMPLITUDES
 from .report import AnalysisOptions, AnalysisReport, analyze
 from .states import validate_state
 
@@ -43,6 +44,10 @@ class QuenchConfig:
         if self.steps < 1 or not 0.0 <= self.tmax < math.inf:
             raise InvalidOptionError(
                 f"steps={self.steps}, tmax={self.tmax}; need steps >= 1 and finite tmax >= 0"
+            )
+        if 2**self.length * (self.steps + 1) > MAX_AMPLITUDES:
+            raise TooLargeError(
+                f"{self.steps + 1} kets of 2^{self.length} exceed {MAX_AMPLITUDES} amplitudes"
             )
         for name in ("coupling", "field_strength", "anisotropy"):
             if not math.isfinite(getattr(self, name)):

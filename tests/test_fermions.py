@@ -162,10 +162,11 @@ def _whole_block_probability(s):
 
 
 # Tile sizes of 7 and 50 amplitudes split these sizes into single tiles,
-# ragged edge tiles and one (i1, i2) pair per tile.
+# ragged edge tiles and one (i1, i2) pair per tile; at 16 and 32 a whole
+# block holds 2^16 to 2^20 amplitudes, where a plain sum loses digits.
 @pytest.mark.parametrize("tile", [7, 50, espent.fermions._TILE])
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 9])
-@pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 9])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 9, 16, 32])
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 9, 16, 32])
 def test_tiled_protocol_matches_whole_blocks(monkeypatch, tile, n, d):
     s = random_haar_state(n, d, seed=100 * n + d)
     monkeypatch.setattr(espent.fermions, "_TILE", tile)
@@ -206,6 +207,18 @@ def test_tiled_protocol_peak_memory(n):
 def test_transform_matches_dense_reference_haar(n, d):
     js = build_two_copy_state(random_haar_state(n, d, seed=10 * n + d))
     _assert_matches_dense(js, n, d)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("d", range(1, 6))
+def test_same_port_blocks_are_half_antisymmetric_part(n, d):
+    # fermionic_encoding_probability reads the bunching weight off this identity
+    js = build_two_copy_state(random_haar_state(n, d, seed=10 * n + d + 500))
+    x = js.terms[(1, 2)]
+    half = 0.5 * (x - x.swapaxes(0, 1))
+    out = beamsplitter_transform(js)
+    np.testing.assert_allclose(out.terms[(3, 3)], half, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(out.terms[(4, 4)], -half, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize(

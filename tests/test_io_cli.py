@@ -379,6 +379,8 @@ def test_cli_analyze_bunching_too_large(tmp_path, caplog):
         (["--length", "4", "--cut", "2", "--tmax", "-1", "--steps", "2"],
          "steps=2, tmax=-1.0; need steps >= 1 and finite tmax >= 0"),
         (["--length", "1", "--cut", "1", "--tmax", "1", "--steps", "2"], "length 1; need >= 2"),
+        (["--length", "4", "--cut", "2", "--tmax", "1", "--steps", "1000000000"],
+         "1000000001 kets of 2^4 exceed 16777216 amplitudes"),
     ],
 )
 def test_cli_quench_invalid_option(capsys, caplog, options, message):
