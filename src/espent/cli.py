@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -20,7 +21,9 @@ EXIT_PARSE = 2
 EXIT_NOT_CONVERGED = 3
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The espent parser, built once per process; each parse_args call fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="espent",
         description="Bipartite entanglement measures via symmetric-polynomial volumes",

@@ -42,10 +42,9 @@ _TILE = 1 << 14
 
 # 50:50 convention: a+_(1) -> (b+_(3) - b+_(4)) / sqrt(2),
 #                   a+_(2) -> (b+_(3) + b+_(4)) / sqrt(2), level-preserving.
-_SPLITTER = {
-    1: ((3, 1.0 / math.sqrt(2.0)), (4, -1.0 / math.sqrt(2.0))),
-    2: ((3, 1.0 / math.sqrt(2.0)), (4, 1.0 / math.sqrt(2.0))),
-}
+# Only the signs are kept: each output pair takes the product of two
+# 1/sqrt(2) factors as an exact 0.5 (rounded, (1/sqrt 2)^2 is 0.4999999999999999).
+_SPLITTER = {1: ((3, 1.0), (4, -1.0)), 2: ((3, 1.0), (4, 1.0))}
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,7 @@ def beamsplitter_transform(js: TwoFermionJointState) -> TwoFermionJointState:
         xt = x.swapaxes(0, 1)
         for q1, c1 in _SPLITTER[p]:
             for q2, c2 in _SPLITTER[q]:
-                c = weight * c1 * c2
+                c = 0.5 * weight * c1 * c2
                 key = (min(q1, q2), max(q1, q2))
                 if q1 < q2:
                     y = np.multiply(x, c)

@@ -2,7 +2,9 @@
 
 Evolves a product state under a transverse-field Ising or XXZ chain and
 runs the full analysis at each time, so the growth of the truncated
-entropies can be tracked alongside the von Neumann entropy.
+entropies can be tracked alongside the von Neumann entropy.  The evolution
+is exact, by eigh in the spin-flip x reflection symmetry sectors of the
+basis states the initial ket reaches (see quench_trajectory).
 """
 
 from __future__ import annotations
@@ -63,25 +65,28 @@ def build_hamiltonian(config: QuenchConfig) -> np.ndarray:
 
     Filled from bit operations on basis indices: site i is bit L-1-i (site 0
     is the most significant bit) and spin up is bit 0, so Z_i Z_{i+1} is
-    diagonal and X_i flips one bit.  Both models are real symmetric.
+    diagonal and X_i flips one bit.  Both models are real symmetric.  The
+    diagonal is one coupling times sum Z_i Z_{i+1} = L - 1 - 2 (antiparallel
+    bonds), rounded once, so it is bitwise equal on reflected indices.
     """
     L = config.length
     idx = np.arange(2**L)
     h = np.zeros((idx.size, idx.size))
+    zz_sum = np.full(idx.size, L - 1)
     for i in range(L - 1):
-        zz = 1.0 - 2.0 * (((idx >> (L - 2 - i)) ^ (idx >> (L - 1 - i))) & 1)
-        if config.model == "tfi":
-            # H = -J sum Z_i Z_{i+1} - h sum X_i
-            h[idx, idx] -= config.coupling * zz
-        else:
-            # H = J sum (X_i X_{i+1} + Y_i Y_{i+1} + Delta Z_i Z_{i+1});
+        anti = np.flatnonzero(((idx >> (L - 2 - i)) ^ (idx >> (L - 1 - i))) & 1)
+        zz_sum[anti] -= 2
+        if config.model == "xxz":
             # XX + YY swaps an antiparallel pair with amplitude 2
-            h[idx, idx] += config.coupling * config.anisotropy * zz
-            anti = idx[zz < 0.0]
-            h[anti, anti ^ (3 << (L - 2 - i))] += 2.0 * config.coupling
+            h[anti, anti ^ (3 << (L - 2 - i))] = 2.0 * config.coupling
     if config.model == "tfi":
+        # H = -J sum Z_i Z_{i+1} - h sum X_i
+        h[idx, idx] = -config.coupling * zz_sum
         for i in range(L):
-            h[idx, idx ^ (1 << (L - 1 - i))] -= config.field_strength
+            h[idx, idx ^ (1 << (L - 1 - i))] = -config.field_strength
+    else:
+        # H = J sum (X_i X_{i+1} + Y_i Y_{i+1} + Delta Z_i Z_{i+1})
+        h[idx, idx] = config.coupling * config.anisotropy * zz_sum
     return h
 
 
@@ -96,22 +101,50 @@ def initial_product_state(config: QuenchConfig) -> np.ndarray:
     return psi
 
 
-def _evolve_reached(block: np.ndarray, v0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """exp(-i block t) v0 for each t, exact, as columns.
-
-    Diagonalizes only the sub-block on the indices v0 reaches: its support,
-    grown by the nonzero pattern of block until that set is invariant.
-    """
-    keep, reached = np.zeros(v0.size, dtype=bool), v0 != 0
-    while (reached != keep).any():
-        keep = reached
-        reached = keep | (block[keep] != 0).any(axis=0)
-    evals, evecs = np.linalg.eigh(block[np.ix_(keep, keep)])
-    phases = np.exp(-1j * np.outer(evals, times)) * (evecs.T @ v0[keep])[:, None]
-    out = np.zeros((v0.size, times.size), dtype=complex)
-    # Two real products: a complex right factor would copy evecs to complex
-    out[keep] = evecs @ phases.real + 1j * (evecs @ phases.imag)
-    return out
+def _evolve_in_sectors(h: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """exp(-i h t) psi0 for each t, exact, as columns; see quench_trajectory."""
+    dim, length = h.shape[0], h.shape[0].bit_length() - 1
+    rows, cols = np.nonzero(h)
+    vals, key = h[rows, cols], rows * dim + cols
+    idx = np.arange(dim)
+    flip = idx ^ (dim - 1)
+    refl = sum(((idx >> i) & 1) << (length - 1 - i) for i in range(length))
+    for name, g in (("global spin flip", flip), ("spatial reflection", refl)):
+        # g H g = H iff the triples, both indices mapped by g, are the same set
+        moved = g[rows] * dim + g[cols]
+        order = np.argsort(moved)
+        if not (np.array_equal(moved[order], key) and np.array_equal(vals[order], vals)):
+            raise RuntimeError(f"the Hamiltonian does not commute with the {name}")
+    reached = frontier = psi0 != 0
+    while frontier.any():
+        grown = np.zeros(dim, dtype=bool)
+        grown[cols[frontier[rows]]] = True
+        frontier = grown & ~reached
+        reached = reached | frontier
+    # The elements F^i R^j of {1, F, R, FR} that map the reached set K onto itself
+    elements = ((idx, 0, 0), (flip, 1, 0), (refl, 0, 1), (refl ^ (dim - 1), 1, 1))
+    group = [(g, i, j) for g, i, j in elements if reached[g[reached]].all()]
+    k = np.flatnonzero(reached)
+    reps = k[np.min([g[k] for g, _, _ in group], axis=0) == k]
+    orbit = np.array([g[reps] for g, _, _ in group])  # g r, with g = 1 first
+    stab = orbit == reps
+    chars = {tuple(a**i * b**j for _, i, j in group) for a in (1, -1) for b in (1, -1)}
+    kets = np.zeros((dim, times.size), dtype=complex)
+    for signs in sorted(chars, reverse=True):
+        chi = np.array(signs, dtype=float)[:, None]
+        gr = orbit[:, ~(stab & (chi < 0)).any(axis=0)]
+        c = 1.0 / np.sqrt(len(group) * (gr == gr[0]).sum(axis=0))
+        a = c * (chi * psi0[gr]).sum(axis=0)
+        if not a.any():
+            continue
+        block = sum(x * h[np.ix_(gr[0], g_r)] for x, g_r in zip(chi[:, 0], gr))
+        evals, evecs = np.linalg.eigh(len(group) * np.outer(c, c) * block)
+        phases = np.exp(-1j * np.outer(evals, times)) * (evecs.T @ a)[:, None]
+        # Two real products: a complex right factor would copy evecs to complex
+        a_t = c[:, None] * (evecs @ phases.real + 1j * (evecs @ phases.imag))
+        # kets[g r] += chi(g) c_r a_r(t); add.at sums the repeats a stabilizer makes
+        np.add.at(kets, gr.ravel(), (chi[:, :, None] * a_t).reshape(-1, times.size))
+    return kets
 
 
 def quench_trajectory(
@@ -119,29 +152,20 @@ def quench_trajectory(
 ) -> list[tuple[float, AnalysisReport]]:
     """Evolve the initial product state and analyze each time point.
 
-    H commutes with the global spin flip F: s -> s ^ (2^L - 1) (checked;
-    RuntimeError otherwise).  With lo the indices whose top bit is clear,
-    A = H[lo, lo] and B = H[lo, F(lo)], H is A + B on (|s> + |Fs>)/sqrt 2
-    and A - B on (|s> - |Fs>)/sqrt 2.  Each half of psi0 evolves exactly
-    (no Trotter error) in its block, on the indices it reaches there.
+    H commutes with the global spin flip F: s -> s ^ (2^L - 1) and the
+    reflection R, which reverses the L bits of s (both checked exactly on
+    H's nonzero triples; RuntimeError otherwise).  psi0 reaches the set K of
+    indices closed under H's nonzero pattern; G is the subgroup of
+    {1, F, R, FR} that maps K onto itself.  For each character chi of G the
+    sector basis is c_r sum_g chi(g) |g r>, r an orbit representative whose
+    stabilizer chi is trivial on, c_r = (|G| |Stab r|)^(-1/2); there
+    H_chi[r, r'] = |G| c_r c_r' sum_g chi(g) H[r, g r'].  psi0 evolves
+    exactly (no Trotter error) by a real eigh of each sector it has weight in.
     """
     if options is None:
         options = AnalysisOptions()
-    h = build_hamiltonian(config)
-    half = h.shape[0] // 2
-    # F(s) = 2^L - 1 - s reverses the index order, so h[::-1, ::-1] is F H F;
-    # its lo rows equal H's iff H[hi, hi] == A and H[hi, lo] == B
-    if not np.array_equal(h[::-1, ::-1][:half], h[:half]):
-        raise RuntimeError("the Hamiltonian does not commute with the global spin flip")
-    a, b = h[:half, :half], h[:half, half:][:, ::-1]
-    psi0 = initial_product_state(config)
-    lo, hi = psi0[:half], psi0[::-1][:half]
     times = np.linspace(0.0, config.tmax, config.steps + 1)
-    even = _evolve_reached(a + b, (lo + hi) / math.sqrt(2.0), times)
-    odd = _evolve_reached(a - b, (lo - hi) / math.sqrt(2.0), times)
-    kets = np.empty((2 * half, times.size), dtype=complex)
-    kets[:half] = (even + odd) / math.sqrt(2.0)
-    kets[::-1][:half] = (even - odd) / math.sqrt(2.0)
+    kets = _evolve_in_sectors(build_hamiltonian(config), initial_product_state(config), times)
     n = 2**config.cut
     d = 2 ** (config.length - config.cut)
     out = []

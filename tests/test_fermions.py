@@ -1,5 +1,6 @@
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -292,6 +293,33 @@ def test_bunching_matches_e2():
         esp = esp_from_spectrum(spectrum(reduced_density_matrix(s)))
         assert fermionic_encoding_probability(s) == pytest.approx(esp[2], abs=1e-10)
 
+
+
+def _e2_mpmath(psi):
+    """e_2 of rho = psi psi^dagger, ((tr rho)^2 - tr rho^2) / 2, at 40 digits."""
+    with mp.workdps(40):
+        rows = [[mp.mpc(z) for z in row] for row in psi.tolist()]
+        tr = mp.fsum(abs(z) ** 2 for row in rows for z in row)
+        # tr rho^2: the diagonal once, each upper off-diagonal |rho_ab|^2 twice
+        tr2 = mp.fsum(
+            (1 if a == b else 2) * abs(mp.fsum(x * mp.conj(y) for x, y in zip(ra, rb))) ** 2
+            for a, ra in enumerate(rows) for b, rb in enumerate(rows) if b >= a
+        )
+        return (tr * tr - tr2) / 2
+
+
+def test_whole_block_bunching_is_unbiased_against_mpmath():
+    # Rounded (1/sqrt 2)^2 splitter factors read every one of these e_2 low,
+    # by 2.7e-16 to 5.7e-16 relative; with an exact 0.5 only rounding noise
+    # of either sign is left.
+    errors = []
+    for n in (16, 32):
+        for seed in range(1, 9):
+            s = random_haar_state(n, n, seed)
+            ref = _e2_mpmath(s.amplitudes)
+            errors.append(float((_whole_block_probability(s) - ref) / ref))
+    assert min(errors) < 0.0 < max(errors)
+    assert abs(np.mean(errors)) <= 1e-16
 
 def test_bunching_probability_range():
     for seed in range(10):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import espent.cli
 import espent.io
 import espent.report
 from espent import (
@@ -505,3 +506,15 @@ def test_cli_quench_bad_cut(capsys):
          "--tmax", "0.5", "--steps", "2"]
     )
     assert code == EXIT_PARSE
+
+
+def test_cli_reused_parser_gives_defaults_after_options(monkeypatch):
+    seen = []
+    monkeypatch.setattr(espent.cli, "_cmd_quench", lambda args: seen.append(args) or EXIT_OK)
+    argv = ["quench", "--model", "xxz", "--length", "4", "--cut", "2",
+            "--tmax", "1", "--steps", "2"]
+    assert main([*argv, "--strict", "--r-max", "3"]) == EXIT_OK
+    assert main(argv) == EXIT_OK
+    assert espent.cli.build_parser() is espent.cli.build_parser()
+    assert (seen[0].strict, seen[0].r_max) == (True, 3)
+    assert (seen[1].strict, seen[1].r_max, seen[1].json_out) == (False, None, None)

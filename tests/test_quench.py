@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import espent.quench
@@ -81,7 +81,7 @@ def assert_matches_kron_evolution(cfg, r_max):
     L = cfg.length
     psi0 = np.zeros(2**L)
     # up: all bits 0; Neel: spin down (bit 1) on the odd sites, site i is bit L-1-i
-    psi0[0 if cfg.model == "tfi" else sum(1 << (L - 1 - i) for i in range(1, L, 2))] = 1.0
+    psi0[0 if cfg.initial == "up" else sum(1 << (L - 1 - i) for i in range(1, L, 2))] = 1.0
     coeffs = evecs.T @ psi0
     n = 2**cfg.cut
     for t, report in quench_trajectory(cfg, AnalysisOptions(r_max=r_max)):
@@ -106,6 +106,41 @@ def test_trajectory_matches_kron_reference_evolution(model):
     assert_matches_kron_evolution(cfg, r_max=2)
 
 
+@pytest.mark.parametrize("length", [7, 8])
+@pytest.mark.parametrize("initial", ["up", "neel"])
+@pytest.mark.parametrize("model", ["tfi", "xxz"])
+def test_sector_evolution_matches_kron_reference(model, initial, length):
+    # Each symmetry group the sectors are built on: {1, F, R, FR} with psi0
+    # invariant under R (TFI, all up or odd-L Neel) or only under FR (TFI,
+    # even-L Neel; XXZ even-L Neel), {1, R} (XXZ odd-L Neel, whose S^z sector
+    # F leaves) and {1, R} on a one-state reached set (XXZ all up)
+    cfg = QuenchConfig(
+        model=model, length=length, cut=3, tmax=1.5, steps=3, coupling=0.7,
+        field_strength=1.3, anisotropy=-0.4, initial=initial,
+    )
+    assert_matches_kron_evolution(cfg, r_max=2)
+
+
+@pytest.mark.parametrize(
+    "model, length, sizes",
+    [
+        ("tfi", 9, [136, 136]), ("xxz", 9, [66]),
+        ("tfi", 12, [1056, 1024]), ("xxz", 12, [252, 242]),
+    ],
+)
+def test_eigh_runs_only_on_the_sectors_psi0_reaches(monkeypatch, model, length, sizes):
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def spy(a):
+        shapes.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    quench_trajectory(QuenchConfig(model=model, length=length, cut=1, tmax=1.0, steps=1))
+    assert sorted(shapes, reverse=True) == [(k, k) for k in sizes]
+
+
 # (J, h, Delta): the defaults, h = 0 with Delta > 1 and J < 0, and Delta = 0
 BLOCK_COUPLINGS = [(1.0, 1.0, 1.0), (-1.1, 0.0, 2.5), (0.7, 1.3, 0.0)]
 
@@ -120,8 +155,8 @@ BLOCK_COUPLINGS = [(1.0, 1.0, 1.0), (-1.1, 0.0, 2.5), (0.7, 1.3, 0.0)]
 def test_block_evolution_matches_kron_reference(
     length, cut, coupling, field_strength, anisotropy, model
 ):
-    # The spin-flip blocks, and within them only the indices psi0 reaches,
-    # must give the same trajectory as the full space
+    # The symmetry sectors of the states psi0 reaches must give the same
+    # trajectory as the full space
     cfg = QuenchConfig(
         model=model, length=length, cut=cut, tmax=1.5, steps=3, coupling=coupling,
         field_strength=field_strength, anisotropy=anisotropy,
@@ -139,7 +174,7 @@ finite_couplings = st.floats(-100.0, 100.0)
 )
 def test_hamiltonian_commutes_with_spin_flip(length, model, coupling, field_strength, anisotropy):
     # F: s -> s ^ (2^L - 1) reverses the index order, so F H F = h[::-1, ::-1];
-    # the block evolution relies on it holding exactly
+    # the sectors rely on it holding exactly
     cfg = QuenchConfig(
         model=model, length=length, cut=1, tmax=1.0, steps=1, coupling=coupling,
         field_strength=field_strength, anisotropy=anisotropy,
@@ -148,14 +183,33 @@ def test_hamiltonian_commutes_with_spin_flip(length, model, coupling, field_stre
     assert np.array_equal(h[::-1, ::-1], h)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    length=st.integers(2, 8), model=st.sampled_from(["tfi", "xxz"]),
+    coupling=finite_couplings, field_strength=finite_couplings, anisotropy=finite_couplings,
+)
+@example(length=4, model="tfi", coupling=0.7, field_strength=1.0, anisotropy=1.0)
+def test_hamiltonian_commutes_with_reflection(length, model, coupling, field_strength, anisotropy):
+    # R reverses the L bits of an index, so R H R = h[refl][:, refl]; the
+    # sectors rely on it holding exactly, diagonal included
+    cfg = QuenchConfig(
+        model=model, length=length, cut=1, tmax=1.0, steps=1, coupling=coupling,
+        field_strength=field_strength, anisotropy=anisotropy,
+    )
+    h = build_hamiltonian(cfg)
+    idx = np.arange(2**length)
+    refl = sum(((idx >> i) & 1) << (length - 1 - i) for i in range(length))
+    assert np.array_equal(h[np.ix_(refl, refl)], h)
+
+
 def _z_field_on_site_0(h, L):
-    # Z_0 is +1/-1 by the top bit, which F flips: breaks H[hi, hi] == A = H[lo, lo]
+    # Z_0 is +1/-1 by the top bit, which F flips: F H F differs on the diagonal
     h[np.diag_indices(2**L)] += 0.3 * (1.0 - 2.0 * (np.arange(2**L) >> (L - 1)))
 
 
 def _asymmetric_flip_hop(h, L):
-    # A symmetric hop 0 <-> 2^(L-1) whose image under F is absent: breaks only
-    # H[hi, lo] == B = H[lo, F(lo)]
+    # A symmetric hop 0 <-> 2^(L-1) whose image 2^L-1 <-> 2^(L-1)-1 under F is
+    # absent: F H F differs off the diagonal only
     h[0, 2 ** (L - 1)] += 0.3
     h[2 ** (L - 1), 0] += 0.3
 
@@ -171,6 +225,21 @@ def test_non_commuting_hamiltonian_raises(monkeypatch, perturb, model):
     monkeypatch.setattr(espent.quench, "build_hamiltonian", build)
     cfg = QuenchConfig(model=model, length=4, cut=2, tmax=1.0, steps=2)
     with pytest.raises(RuntimeError, match="spin flip"):
+        quench_trajectory(cfg)
+
+
+@pytest.mark.parametrize("model", ["tfi", "xxz"])
+def test_reflection_breaking_hamiltonian_raises(monkeypatch, model):
+    def build(config):
+        # 0.3 Z_0 Z_1 on bond 0 only: F keeps it, R moves it to bond L - 2
+        h = build_hamiltonian(config)
+        idx, L = np.arange(2**config.length), config.length
+        h[idx, idx] += 0.3 * (1.0 - 2.0 * (((idx >> (L - 1)) ^ (idx >> (L - 2))) & 1))
+        return h
+
+    monkeypatch.setattr(espent.quench, "build_hamiltonian", build)
+    cfg = QuenchConfig(model=model, length=4, cut=2, tmax=1.0, steps=2)
+    with pytest.raises(RuntimeError, match="reflection"):
         quench_trajectory(cfg)
 
 
