@@ -60,11 +60,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _all_converged(report_dict: dict) -> bool:
-    conv = report_dict["convergence"]
-    if not conv["von_neumann_series"]["converged"]:
-        return False
-    return all(v["converged"] for v in conv["s_r"].values())
+def _exit_code(args, reports) -> int:
+    """EXIT_NOT_CONVERGED under --strict if any S_r of the reports is not converged."""
+    if args.strict and not all(
+        c["converged"] for report in reports for c in report.convergence["s_r"].values()
+    ):
+        log.error("an S_r series diverges or is not certified")
+        return EXIT_NOT_CONVERGED
+    return EXIT_OK
 
 
 def _parse_alphas(text: str) -> tuple[float, ...]:
@@ -87,16 +90,13 @@ def _cmd_analyze(args) -> int:
         alphas=_parse_alphas(args.alpha),
         simulate_bunching=args.simulate_bunching,
     )
-    report = analyze(state, options).to_dict()
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    report = analyze(state, options)
+    text = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
     if args.json_out:
         with open(args.json_out, "w") as fh:
             fh.write(text)
     sys.stdout.write(text)
-    if args.strict and not _all_converged(report):
-        log.error("an S_r series diverges or is not certified")
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
+    return _exit_code(args, [report])
 
 
 def _cmd_random(args) -> int:
@@ -118,30 +118,23 @@ def _cmd_quench(args) -> int:
     )
     options = AnalysisOptions(r_max=args.r_max)
     trajectory = quench_trajectory(config, options)
-    records = [
-        {"time": t, "report": report.to_dict()} for t, report in trajectory
-    ]
-    text = json.dumps(records, sort_keys=True, indent=2) + "\n"
     if args.json_out:
+        records = [{"time": t, "report": report.to_dict()} for t, report in trajectory]
         with open(args.json_out, "w") as fh:
-            fh.write(text)
+            fh.write(json.dumps(records, sort_keys=True, indent=2) + "\n")
     # Compact trajectory table on stdout.
-    header_rs = sorted(records[0]["report"]["entropies"]["s_r"], key=int)
+    header_rs = sorted(trajectory[0][1].entropies["s_r"], key=int)
     sys.stdout.write("time  " + "  ".join(f"S_{r}" for r in header_rs) + "  S_vN\n")
     unconverged = 0
-    for rec in records:
-        ent = rec["report"]["entropies"]
-        conv = rec["report"]["convergence"]["s_r"]
+    for t, report in trajectory:
+        ent, conv = report.entropies, report.convergence["s_r"]
         cells = [f"{ent['s_r'][r]:.8f}" if conv[r]["converged"] else "n/c" for r in header_rs]
         unconverged += cells.count("n/c")
-        row = [f"{rec['time']:.6f}", *cells, f"{ent['von_neumann_direct']:.8f}"]
+        row = [f"{t:.6f}", *cells, f"{ent['von_neumann_direct']:.8f}"]
         sys.stdout.write("  ".join(row) + "\n")
     if unconverged:
         log.warning("%d S_r value(s) did not converge; printed as n/c", unconverged)
-    if args.strict and not all(_all_converged(rec["report"]) for rec in records):
-        log.error("an S_r series diverges or is not certified")
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
+    return _exit_code(args, [report for _, report in trajectory])
 
 
 def main(argv=None) -> int:

@@ -23,6 +23,7 @@ cross-check of the partial sums for small depths.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -113,46 +114,23 @@ def von_neumann_direct(spec: Spectrum) -> float:
 # ---------------------------------------------------------------------------
 
 def _partitions(k: int, max_part: int):
-    """Multiplicity tuples (p_1..p_max_part) with sum l*p_l = k.
-
-    Recursive descent over part sizes l = max_part .. 1, yielding tuples of
-    (part, multiplicity) pairs with multiplicity > 0, in lexicographic order
-    of the descent.
-    """
-    out: list[tuple[int, int]] = []
-
-    def rec(remaining: int, l: int):
-        if remaining == 0:
-            yield tuple(out)
-            return
-        if l == 0:
-            return
-        for p in range(remaining // l + 1):
-            if p:
-                out.append((l, p))
-            yield from rec(remaining - l * p, l - 1)
-            if p:
-                out.pop()
-
-    yield from rec(k, max_part)
+    """Partitions of k into parts <= max_part, largest part first, each a
+    tuple of (part, multiplicity) pairs with multiplicity > 0."""
+    if k == 0:
+        yield ()
+    elif max_part:
+        for p in range(k // max_part + 1):
+            head = ((max_part, p),) if p else ()
+            for rest in _partitions(k - max_part * p, max_part - 1):
+                yield head + rest
 
 
-_GN_COEFF_CACHE: dict[tuple[int, tuple[tuple[int, int], ...]], Fraction] = {}
-
-
+@functools.cache
 def _girard_newton_coeff(k: int, parts: tuple[tuple[int, int], ...]) -> Fraction:
     """Exact rational coefficient of the ESP monomial in p_k = Tr(rho^k)."""
-    key = (k, parts)
-    cached = _GN_COEFF_CACHE.get(key)
-    if cached is not None:
-        return cached
     count = sum(p for _, p in parts)
     denom = math.prod(math.factorial(p) for _, p in parts)
-    coeff = Fraction(
-        k * (-1) ** (k + count) * math.factorial(count - 1), denom
-    )
-    _GN_COEFF_CACHE[key] = coeff
-    return coeff
+    return Fraction(k * (-1) ** (k + count) * math.factorial(count - 1), denom)
 
 
 def purities_from_esp(esp: ESPVector, K: int) -> PuritySequence:
@@ -160,10 +138,8 @@ def purities_from_esp(esp: ESPVector, K: int) -> PuritySequence:
 
     Coefficients are exact big-integer rationals, converted to float only
     when multiplied onto the ESP monomial; terms are summed exactly
-    rounded with math.fsum.
+    rounded with math.fsum.  K < 1 gives no purity: OrderOutOfRangeError.
     """
-    if K < 1:
-        raise OrderOutOfRangeError(f"K={K} must be >= 1")
     vals = []
     for k in range(1, K + 1):
         terms = []

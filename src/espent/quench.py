@@ -105,15 +105,12 @@ def _evolve_in_sectors(h: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> np
     """exp(-i h t) psi0 for each t, exact, as columns; see quench_trajectory."""
     dim, length = h.shape[0], h.shape[0].bit_length() - 1
     rows, cols = np.nonzero(h)
-    vals, key = h[rows, cols], rows * dim + cols
     idx = np.arange(dim)
     flip = idx ^ (dim - 1)
     refl = sum(((idx >> i) & 1) << (length - 1 - i) for i in range(length))
     for name, g in (("global spin flip", flip), ("spatial reflection", refl)):
-        # g H g = H iff the triples, both indices mapped by g, are the same set
-        moved = g[rows] * dim + g[cols]
-        order = np.argsort(moved)
-        if not (np.array_equal(moved[order], key) and np.array_equal(vals[order], vals)):
+        # g is a permutation, so g H g = H iff each nonzero keeps its value under g
+        if not np.array_equal(h[g[rows], g[cols]], h[rows, cols]):
             raise RuntimeError(f"the Hamiltonian does not commute with the {name}")
     reached = frontier = psi0 != 0
     while frontier.any():
@@ -154,7 +151,7 @@ def quench_trajectory(
 
     H commutes with the global spin flip F: s -> s ^ (2^L - 1) and the
     reflection R, which reverses the L bits of s (both checked exactly on
-    H's nonzero triples; RuntimeError otherwise).  psi0 reaches the set K of
+    H's nonzero entries; RuntimeError otherwise).  psi0 reaches the set K of
     indices closed under H's nonzero pattern; G is the subgroup of
     {1, F, R, FR} that maps K onto itself.  For each character chi of G the
     sector basis is c_r sum_g chi(g) |g r>, r an orbit representative whose

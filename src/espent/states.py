@@ -110,18 +110,15 @@ def validate_state(raw, renormalize: bool = False) -> PureBipartiteState:
         raise NormError("state norm overflows a float")
     if norm < ZERO_NORM_TOL:
         raise ZeroStateError(f"state norm {norm} below {ZERO_NORM_TOL}")
+    if abs(norm - 1.0) > NORM_TOL and not renormalize:
+        raise NormError(
+            f"state norm {norm} outside [1-{NORM_TOL}, 1+{NORM_TOL}]; "
+            "pass renormalize=True to rescale"
+        )
     factor = 1.0
-    if abs(norm - 1.0) > NORM_TOL:
-        if not renormalize:
-            raise NormError(
-                f"state norm {norm} outside [1-{NORM_TOL}, 1+{NORM_TOL}]; "
-                "pass renormalize=True to rescale"
-            )
-        factor = 1.0 / norm
-        raw = raw * factor
-    elif abs(norm - 1.0) > 1e-12:
-        # Inside the window but off unit norm: snap.  Deviations below
-        # 1e-12 are left untouched so canonical files round-trip bitwise.
+    if abs(norm - 1.0) > 1e-12:
+        # Rescale; deviations below 1e-12 are left untouched so canonical
+        # files round-trip bitwise.
         factor = 1.0 / norm
         raw = raw * factor
     n, d = raw.shape
@@ -174,20 +171,15 @@ def spectrum(rho: ReducedDensityMatrix) -> Spectrum:
     if vals.min() < -EIG_CLAMP_TOL:
         raise IndefiniteMatrixError(f"eigenvalue {vals.min()} below -{EIG_CLAMP_TOL}")
     vals = np.clip(vals, 0.0, None)
-    vals = vals / vals.sum()
-    vals = np.sort(vals)[::-1]
-    return Spectrum(eigenvalues=tuple(float(v) for v in vals))
+    return Spectrum(eigenvalues=(vals / vals.sum())[::-1])  # eigvalsh ascends
 
 
 def schmidt_spectrum(state: PureBipartiteState) -> Spectrum:
     """Squared singular values of the amplitude matrix (padded to length n)."""
     s = np.linalg.svd(state.amplitudes, compute_uv=False)
     lam = np.zeros(state.n)
-    lam[: s.shape[0]] = s**2
-    lam = np.clip(lam, 0.0, None)
-    lam /= lam.sum()
-    lam = np.sort(lam)[::-1]
-    return Spectrum(eigenvalues=tuple(float(v) for v in lam))
+    lam[: s.shape[0]] = s**2  # svd's values are nonnegative and descending
+    return Spectrum(eigenvalues=lam / lam.sum())
 
 
 def random_haar_state(n: int, d: int, seed: int) -> PureBipartiteState:

@@ -30,6 +30,7 @@ from espent import (
     von_neumann_direct,
     von_neumann_series,
 )
+from espent.entropy import _partitions
 
 LN2 = 0.6931471805599453
 
@@ -168,6 +169,18 @@ def test_purity_order_errors():
         purities_from_esp(esp, 0)
     with pytest.raises(OrderOutOfRangeError):
         purities_recurrence(esp, 0)
+
+
+def test_partitions_are_the_distinct_partitions_of_k():
+    # p(k) for k = 1..12; each partition of k exactly once, parts descending.
+    p_k = [1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
+    for k, expected in enumerate(p_k, start=1):
+        parts = list(_partitions(k, k))
+        assert len(set(parts)) == len(parts) == expected
+        for partition in parts:
+            assert sum(l * p for l, p in partition) == k
+            assert all(p > 0 for _, p in partition)
+            assert [l for l, _ in partition] == sorted({l for l, _ in partition}, reverse=True)
 
 
 @pytest.mark.parametrize(

@@ -500,6 +500,19 @@ def test_cli_quench_marks_divergent_series(capsys, caplog):
     ]
 
 
+def test_cli_quench_table_serializes_nothing_without_json(monkeypatch, capsys):
+    # The table reads the reports themselves; only --json turns them into dicts.
+    def refuse(self):
+        raise AssertionError("to_dict called without --json")
+
+    monkeypatch.setattr(espent.report.AnalysisReport, "to_dict", refuse)
+    code = main(["quench", "--model", "xxz", "--length", "4", "--cut", "2",
+                 "--tmax", "0.5", "--steps", "3", "--strict"])
+    assert code == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["time", "S_1", "S_2", "S_3", "S_4", "S_vN"] and len(lines) == 5
+
+
 def test_cli_quench_bad_cut(capsys):
     code = main(
         ["quench", "--model", "tfi", "--length", "4", "--cut", "4",
