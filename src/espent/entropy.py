@@ -97,11 +97,18 @@ def q_tilde(esp: ESPVector) -> float:
 
 
 def renyi_entropy(spec: Spectrum, alpha: float) -> float:
-    """(1 / (1 - alpha)) ln sum_j lambda_j^alpha for alpha > 0, alpha != 1."""
+    """(1 / (1 - alpha)) ln sum_j lambda_j^alpha for alpha > 0, alpha != 1.
+
+    Taken as (alpha ln lambda_1 + ln(1 + sum_{j>1} (lambda_j / lambda_1)^alpha))
+    / (1 - alpha) over lambda_j > 0, lambda_1 the largest: no power underflows
+    however large alpha is, and log1p keeps the small sums of near-pure states.
+    """
     if not 0.0 < alpha < math.inf or alpha == 1.0:
         raise InvalidOrderError(f"alpha={alpha}; need finite alpha > 0 and alpha != 1")
-    total = math.fsum(lam**alpha for lam in spec.eigenvalues if lam > 0.0)
-    return 0.0 - math.log(total) / (alpha - 1.0)  # 0.0 - x: +0.0 for a pure state
+    top, *rest = spec.eigenvalues
+    tail = math.fsum((lam / top) ** alpha for lam in rest if lam > 0.0)
+    # 0.0 - x: +0.0 for a pure state
+    return 0.0 - (alpha * math.log(top) + math.log1p(tail)) / (alpha - 1.0)
 
 
 def von_neumann_direct(spec: Spectrum) -> float:

@@ -23,6 +23,7 @@ from espent import (
     reduced_density_matrix,
     renyi_entropy,
     s_r_truncated,
+    schmidt_spectrum,
     series_partial_sum,
     series_partial_sum_literal,
     spectrum,
@@ -100,6 +101,20 @@ def test_renyi_invalid_orders():
 def test_renyi_rejects_non_finite_orders(alpha):
     with pytest.raises(InvalidOrderError):
         renyi_entropy(Spectrum(eigenvalues=(0.5, 0.5)), alpha)
+
+
+@pytest.mark.parametrize("alpha", [1e3, 1e6])
+def test_renyi_large_alpha_matches_mpmath(alpha):
+    # 0.48^1000 ~ 1.4e-319 is subnormal and 0.48^1e6 underflows to 0: the
+    # powers are taken relative to lambda_1, so S_alpha keeps full precision.
+    haar = schmidt_spectrum(random_haar_state(4, 4, 3)).eigenvalues
+    for lams in [(0.48, 0.27, 0.15, 0.1), haar, (1 - 1e-9, 1e-9)]:
+        a = mp.mpf(alpha)
+        with mp.workdps(60):
+            exact = mp.log(mp.fsum(mp.mpf(lam) ** a for lam in lams)) / (1 - a)
+        assert renyi_entropy(Spectrum(eigenvalues=lams), alpha) == pytest.approx(
+            float(exact), rel=1e-15
+        )
 
 
 def test_renyi_linear_entropy_bridge():

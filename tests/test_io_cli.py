@@ -423,6 +423,16 @@ def test_cli_analyze_alpha_not_a_number(tmp_path, capsys, caplog):
     assert capsys.readouterr().out == ""
 
 
+def test_cli_analyze_renyi_at_huge_alpha(tmp_path, capsys):
+    # Every lambda^1e6 underflows to 0; S_alpha is read relative to lambda_1.
+    path = tmp_path / "h4.json"
+    write_state_file(random_haar_state(4, 4, 1), path)
+    assert main(["analyze", str(path), "--alpha", "2,1e6"]) == EXIT_OK
+    renyi = json.loads(capsys.readouterr().out)["entropies"]["renyi"]
+    top = schmidt_spectrum(parse_state_file(path)).eigenvalues[0]
+    assert renyi["1000000.0"] == pytest.approx(-math.log(top) * 1e6 / (1e6 - 1), rel=1e-15)
+
+
 def test_cli_analyze_strict_nonconvergence(tmp_path, capsys):
     # Maximally mixed 12x12 state: the series for S_5 and S_6 diverge, with
     # max |1 - nu| = 1.0059 and 1.0147 over the roots nu of q_5 and q_6.
