@@ -146,7 +146,7 @@ def main(argv=None) -> int:
         if args.command == "random":
             return _cmd_random(args)
         return _cmd_quench(args)
-    except EspentError as exc:
+    except (EspentError, OSError) as exc:  # OSError: an output file cannot be written
         log.error("%s", exc)
         return EXIT_PARSE
 

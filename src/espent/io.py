@@ -14,12 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatchError, ParseError, TooLargeError
-from .states import PureBipartiteState, validate_state
+from .states import MAX_AMPLITUDES, PureBipartiteState, validate_state
 
 STATE_SCHEMA_VERSION = 1
-
-# Most amplitudes a state file or a quench's kets may hold: 2^24, 256 MiB as complex.
-MAX_AMPLITUDES = 1 << 24
 
 
 def state_to_dict(state: PureBipartiteState) -> dict:

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidCutError, InvalidOptionError, TooLargeError
-from .io import MAX_AMPLITUDES
 from .report import AnalysisOptions, AnalysisReport, analyze
-from .states import validate_state
+from .states import MAX_AMPLITUDES, validate_state
 
 MAX_LENGTH = 12
 

@@ -17,12 +17,15 @@ from .errors import (
     DimensionMismatchError,
     IndefiniteMatrixError,
     NormError,
+    TooLargeError,
     ZeroStateError,
 )
 
 NORM_TOL = 1e-6
 ZERO_NORM_TOL = 1e-12
 EIG_CLAMP_TOL = 1e-10
+# Most amplitudes a state file or a quench's kets may hold: 2^24, 256 MiB as complex.
+MAX_AMPLITUDES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -186,6 +189,8 @@ def random_haar_state(n: int, d: int, seed: int) -> PureBipartiteState:
     """Haar-induced random pure state: iid complex Gaussians, normalized."""
     if n < 1 or d < 1:
         raise DimensionMismatchError("n and d must be >= 1")
+    if n * d > MAX_AMPLITUDES:
+        raise TooLargeError(f"state of {n * d} amplitudes exceeds {MAX_AMPLITUDES}")
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
     return validate_state(raw, renormalize=True)

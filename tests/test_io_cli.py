@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import espent.cli
 import espent.io
+import espent.states
 import espent.report
 from espent import (
     AnalysisOptions,
@@ -458,6 +459,28 @@ def test_cli_random_deterministic(tmp_path):
     assert f1.read_text() == f2.read_text()
     state = parse_state_file(f1)
     assert state.n == 3 and state.d == 4
+
+
+def test_cli_random_size_bound_fires_before_drawing(monkeypatch, caplog, capsys):
+    monkeypatch.setattr(espent.states, "MAX_AMPLITUDES", 64)
+    monkeypatch.setattr(np.random, "default_rng", None)  # a draw would raise TypeError
+    with pytest.raises(TooLargeError, match="72 amplitudes exceeds 64"):
+        random_haar_state(9, 8, seed=1)
+    assert main(["random", "--n", "9", "--d", "8", "--seed", "1"]) == EXIT_PARSE
+    assert [r.getMessage() for r in caplog.records] == ["state of 72 amplitudes exceeds 64"]
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", ["analyze", "random"])
+def test_cli_unwritable_output_exits_parse(tmp_path, caplog, capsys, command):
+    out = tmp_path / "missing" / "o.json"
+    if command == "analyze":
+        argv = ["analyze", str(bell_json(tmp_path)), "--json", str(out)]
+    else:
+        argv = ["random", "--n", "2", "--d", "3", "--seed", "1", "-o", str(out)]
+    assert main(argv) == EXIT_PARSE
+    assert len(caplog.records) == 1 and str(out) in caplog.text
+    assert capsys.readouterr().out == "" and not out.parent.exists()
 
 
 def test_cli_quench(tmp_path, capsys, caplog):
