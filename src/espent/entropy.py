@@ -107,8 +107,7 @@ def renyi_entropy(spec: Spectrum, alpha: float) -> float:
         raise InvalidOrderError(f"alpha={alpha}; need finite alpha > 0 and alpha != 1")
     top, *rest = spec.eigenvalues
     tail = math.fsum((lam / top) ** alpha for lam in rest if lam > 0.0)
-    # 0.0 - x: +0.0 for a pure state
-    return 0.0 - (alpha * math.log(top) + math.log1p(tail)) / (alpha - 1.0)
+    return 0.0 - (alpha * math.log(top) + math.log1p(tail)) / (alpha - 1.0)  # +0.0 when pure
 
 
 def von_neumann_direct(spec: Spectrum) -> float:

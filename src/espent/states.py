@@ -24,7 +24,7 @@ from .errors import (
 NORM_TOL = 1e-6
 ZERO_NORM_TOL = 1e-12
 EIG_CLAMP_TOL = 1e-10
-# Most amplitudes a state file or a quench's kets may hold: 2^24, 256 MiB as complex.
+# Most amplitudes a state, a state file or a quench's kets may hold: 2^24, 256 MiB as complex.
 MAX_AMPLITUDES = 1 << 24
 
 
