@@ -15,10 +15,11 @@ setting e_{r+1..n} = 0 turns the characteristic polynomial into
 x^(n-r) q_r(x) with q_r(x) = x^r - e_1 x^(r-1) + ... + (-1)^r e_r, so the
 truncated series is the same series over the r roots nu of q_r.  It sums
 to S_r = -sum nu ln nu and converges iff max |1 - nu| < 1 over the nonzero
-roots.  The roots come from np.roots (eigenvalues of the companion matrix)
-and are certified by rebuilding q_r from them.  A literal triple-sum
-evaluator with exact rational coefficients is kept as an independent
-cross-check of the partial sums for small depths.
+roots.  The roots of every requested order come from one eigvals call on
+their companion matrices, zero-padded to one stack, and are certified by
+rebuilding q_r from them.  A literal triple-sum evaluator with exact
+rational coefficients is kept as an independent cross-check of the
+partial sums for small depths.
 """
 
 from __future__ import annotations
@@ -209,21 +210,43 @@ def _truncated_e_list(esp: ESPVector, r: int) -> list[float]:
     return [1.0] + [esp[l] for l in range(1, r + 1)]
 
 
-def _q_r_roots(esp: ESPVector, r: int) -> tuple[np.ndarray, bool]:
-    """The roots of q_r with |nu| >= ZERO_ROOT, and whether they are certified.
+def _q_r_roots(esp: ESPVector, orders: range | list[int]) -> tuple[np.ndarray, ...]:
+    """Roots of q_r for every r in orders from one stacked eigensolve.
 
-    The certificate rebuilds q_r with np.poly from all r roots, those below
-    ZERO_ROOT set to 0, and asks |e^_k - e_k| <= CERTIFY_TOL |e_k| for
-    k = 0..m, m the number of live roots.  The companion-matrix roots fail
-    it for r >~ n/2 at n >= 24; at n >= 32 S_r there can be 1e-2 off.
+    Row i holds the eigenvalues of q_r's companion matrix zero-padded to
+    R x R, R = max(orders); exact trailing zeros e_k = 0 are stripped first,
+    so they come back as exact zero roots.  Also returns the live mask
+    |nu| >= ZERO_ROOT and, per order, the certificate: e_0 ... e_m rebuilt
+    from the m live roots match to |e^_k - e_k| <= CERTIFY_TOL |e_k|.  It
+    fails for r >~ n/2 at n >= 24; at n >= 32 S_r there can be 1e-2 off.
     """
-    coeffs = np.array([(-1) ** k * e for k, e in enumerate(_truncated_e_list(esp, r))])
-    roots = np.roots(coeffs).astype(complex)
-    live = np.abs(roots) >= ZERO_ROOT
-    m = int(live.sum())
-    rebuilt = np.poly(np.where(live, roots, 0.0))[: m + 1]
-    certified = np.all(np.abs(rebuilt - coeffs[: m + 1]) <= CERTIFY_TOL * np.abs(coeffs[: m + 1]))
-    return roots[live], bool(certified)
+    R = max(orders)
+    k = np.arange(R + 1)
+    coeffs = np.array(_truncated_e_list(esp, R)) * (-1.0) ** k
+    block = k[:-1] < np.maximum.accumulate(np.where(coeffs != 0.0, k, 0))[list(orders), None]
+    companion = np.vstack([-coeffs[1:], np.eye(R - 1, R)])
+    stack = np.where(block[:, :, None] & block[:, None, :], companion, 0.0)
+    nu = np.linalg.eigvals(stack).astype(complex)
+    live = np.abs(nu) >= ZERO_ROOT
+    # One ESP recurrence for all rows; conjugate pairs make the rebuilt q_r real.
+    rebuilt = np.zeros((R + 1, len(nu), 1), complex)
+    rebuilt[0] = 1.0
+    for j, z in enumerate(np.where(live, nu, 0.0).T[:, :, None], start=1):
+        rebuilt[1 : j + 1] -= z * rebuilt[:j]
+    close = np.abs(rebuilt[:, :, 0].real.T - coeffs) <= CERTIFY_TOL * np.abs(coeffs)
+    return nu, live, np.all(close | (k > live.sum(axis=1, keepdims=True)), axis=1)
+
+
+def truncated_entropies(esp: ESPVector, orders: range | list[int]) -> list[SeriesResult]:
+    """S_r = -sum nu ln nu (exactly rounded) over the live roots of q_r for every
+    r >= 2 in orders; converged when certified and max |1 - nu| < 1."""
+    nu, live, certified = _q_r_roots(esp, orders)
+    radius = np.max(np.abs(1.0 - nu), axis=1, where=live, initial=0.0)
+    w = np.where(live, nu, 1.0)  # 1 ln 1 = 0: the dead roots add nothing
+    return [
+        SeriesResult(value=0.0 - math.fsum(t), terms_used=1, converged=bool(c and rad < 1.0))
+        for t, c, rad in zip((w * np.log(w)).real.tolist(), certified, radius)
+    ]
 
 
 def von_neumann_series(esp: ESPVector) -> SeriesResult:
@@ -234,17 +257,13 @@ def von_neumann_series(esp: ESPVector) -> SeriesResult:
 def s_r_truncated(esp: ESPVector, r: int) -> SeriesResult:
     """r-th-order entanglement entropy: the series using only e_1 ... e_r.
 
-    Summed in closed form, -sum nu ln nu over the roots nu of q_r; it is
-    converged when the roots are certified and max |1 - nu| < 1.  At r = n
-    the roots are the spectrum and this is von_neumann_series.
+    Summed in closed form by truncated_entropies.  At r = n the roots are
+    the spectrum and this is von_neumann_series.
     """
     if r == 1:
         # -e_1 ln e_1 = 0: e_1 = Tr rho = 1, held to 1e-10 by ESPVector.
         return SeriesResult(value=0.0, terms_used=1, converged=True)
-    nu, certified = _q_r_roots(esp, r)
-    value = 0.0 - math.fsum((nu * np.log(nu)).real)
-    radius = float(np.max(np.abs(1.0 - nu), initial=0.0))
-    return SeriesResult(value=value, terms_used=1, converged=certified and radius < 1.0)
+    return truncated_entropies(esp, [r])[0]
 
 
 def series_partial_sum(esp: ESPVector, r: int, depth: int) -> float:
@@ -255,7 +274,8 @@ def series_partial_sum(esp: ESPVector, r: int, depth: int) -> float:
     """
     if depth < 1:
         raise OrderOutOfRangeError(f"depth={depth} must be >= 1")
-    nu, _ = _q_r_roots(esp, r)
+    nu, live, _ = _q_r_roots(esp, [r])
+    nu = nu[0, live[0]]
     m = np.arange(1, depth + 1)
     return math.fsum((nu[:, None] * (1.0 - nu[:, None]) ** m / m).real.ravel())
 

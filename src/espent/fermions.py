@@ -189,7 +189,7 @@ def antisym_weight(rho: ReducedDensityMatrix, r: int) -> float:
     for perm in permutations(range(r)):
         # Tr(Pi_perm rho^(x)r) = sum_i prod_t rho[i_t, i_perm(t)]
         spec = ",".join(letters[t] + letters[perm[t]] for t in range(r))
-        tr = np.einsum(spec + "->", *mats)
+        tr = np.einsum(spec + "->", *mats, optimize=True)
         total += _perm_sign(perm) * tr.real
     return total / math.factorial(r)
 

@@ -16,7 +16,8 @@ from .entropy import (
     purities_recurrence,
     q_tilde,
     renyi_entropy,
-    s_r_truncated,
+    s_r_truncated,  # noqa: F401  the benchmark tracer (bench/spans.py) wraps this name
+    truncated_entropies,
     von_neumann_direct,
     von_neumann_series,  # noqa: F401  the benchmark tracer (bench/spans.py) wraps this name
 )
@@ -97,25 +98,24 @@ def analyze(state: PureBipartiteState, options: AnalysisOptions | None = None) -
     purities = purities_from_spectrum(spec, options.k_max)
     purity_residual = _purity_residual(purities, purities_recurrence(esp, options.k_max))
 
-    # The series at r = n sums over the spectrum itself: read it off directly.
+    # S_1 = -e_1 ln e_1 = 0, S_n sums over the spectrum, the rest is one eigensolve.
     vn_direct = von_neumann_direct(spec)
     vn_series = SeriesResult(value=vn_direct, terms_used=1, converged=True)
+    series = {1: SeriesResult(value=0.0, terms_used=1, converged=True), n: vn_series}
+    orders = range(2, min(r_max + 1, n))
+    series.update(zip(orders, truncated_entropies(esp, orders) if orders else ()))
 
-    s_r: dict[str, float] = {}
+    s_r = {str(r): series[r].value for r in range(1, r_max + 1)}
     convergence: dict = {
         "von_neumann_series": {
             "terms_used": vn_series.terms_used,
             "converged": vn_series.converged,
         },
-        "s_r": {},
+        "s_r": {
+            str(r): {"terms_used": series[r].terms_used, "converged": series[r].converged}
+            for r in range(1, r_max + 1)
+        },
     }
-    for r in range(1, r_max + 1):
-        res = vn_series if r == n else s_r_truncated(esp, r)
-        s_r[str(r)] = res.value
-        convergence["s_r"][str(r)] = {
-            "terms_used": res.terms_used,
-            "converged": res.converged,
-        }
 
     entropies = {
         "linear": linear_entropy(esp),

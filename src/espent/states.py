@@ -63,7 +63,7 @@ class ReducedDensityMatrix:
             raise DimensionMismatchError(
                 f"matrix shape {m.shape} does not match dim {self.dim}"
             )
-        if not np.allclose(m, m.conj().T, atol=1e-12, rtol=0.0):
+        if not (np.array_equal(m, h := m.conj().T) or np.allclose(m, h, atol=1e-12, rtol=0.0)):
             raise IndefiniteMatrixError("reduced density matrix is not Hermitian")
         if abs(np.trace(m).real - 1.0) > 1e-10:
             raise NormError(f"trace {np.trace(m).real} is not 1")

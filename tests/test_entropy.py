@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from espent import (
+    AnalysisOptions,
     ESPVector,
     InvalidOrderError,
     OrderOutOfRangeError,
     PuritySequence,
+    SeriesResult,
     Spectrum,
     analyze,
     esp_from_spectrum,
@@ -31,7 +33,13 @@ from espent import (
     von_neumann_direct,
     von_neumann_series,
 )
-from espent.entropy import _partitions
+from espent.entropy import (
+    CERTIFY_TOL,
+    ZERO_ROOT,
+    _partitions,
+    _truncated_e_list,
+    truncated_entropies,
+)
 
 LN2 = 0.6931471805599453
 
@@ -40,15 +48,19 @@ def esp_of(lams):
     return esp_from_spectrum(Spectrum(eigenvalues=tuple(lams)))
 
 
-def q_r_roots_entropy(esp, r):
-    """(-sum nu ln nu, max |1 - nu|) over the roots nu of q_r, by np.roots.
-
-    Roots below 1e-12 count as zero: they add nothing to the entropy, and
-    their complement 1 - nu = 1 is constant in every series term.
-    """
-    nu = np.roots([(-1) ** k * esp[k] for k in range(r + 1)]).astype(complex)
-    nu = nu[abs(nu) > 1e-12]
-    return float(-np.sum(nu * np.log(nu)).real), float(np.max(abs(1.0 - nu)))
+def s_r_per_order(esp, r):
+    """(S_r, roots) by one np.roots and np.poly pair per order: the route the
+    stacked eigensolve replaced, kept as its bitwise reference."""
+    coeffs = np.array([(-1) ** k * e for k, e in enumerate(_truncated_e_list(esp, r))])
+    roots = np.roots(coeffs).astype(complex)
+    live = np.abs(roots) >= ZERO_ROOT
+    m = int(live.sum())
+    rebuilt = np.poly(np.where(live, roots, 0.0))[: m + 1]
+    certified = np.all(np.abs(rebuilt - coeffs[: m + 1]) <= CERTIFY_TOL * np.abs(coeffs[: m + 1]))
+    nu = roots[live]
+    value = 0.0 - math.fsum((nu * np.log(nu)).real)
+    radius = float(np.max(np.abs(1.0 - nu), initial=0.0))
+    return SeriesResult(value=value, terms_used=1, converged=bool(certified) and radius < 1.0), nu
 
 
 def haar_esp(n, seed):
@@ -272,7 +284,7 @@ def test_s_r_matches_roots_of_q_r_haar(n, r):
     esp = haar_esp(n, 1)
     res = s_r_truncated(esp, r)
     assert res.converged
-    assert abs(res.value - q_r_roots_entropy(esp, r)[0]) <= 1e-9
+    assert abs(res.value - s_r_per_order(esp, r)[0].value) <= 1e-9
 
 
 @settings(max_examples=60, deadline=None)
@@ -280,11 +292,11 @@ def test_s_r_matches_roots_of_q_r_haar(n, r):
 def test_s_r_matches_roots_of_q_r_property(n, d, seed):
     esp = esp_from_spectrum(spectrum(reduced_density_matrix(random_haar_state(n, d, seed))))
     for r in range(2, min(n, 4) + 1):
-        value, radius = q_r_roots_entropy(esp, r)
-        if radius < 1 - 1e-6:
+        ref, nu = s_r_per_order(esp, r)
+        if np.max(np.abs(1.0 - nu)) < 1 - 1e-6:
             res = s_r_truncated(esp, r)
             assert res.converged
-            assert abs(res.value - value) <= 1e-8
+            assert abs(res.value - ref.value) <= 1e-8
 
 
 @pytest.mark.parametrize("n, seed", [(4, 1), (8, 1), (12, 1), (16, 1), (16, 2)])
@@ -308,6 +320,71 @@ def test_s_r_matches_mpmath_roots(n, seed):
                 assert abs(res.value - float(-mp.re(mp.fsum(x * mp.log(x) for x in nu)))) <= 1e-10
             else:
                 assert radius >= 1
+
+
+@st.composite
+def adversarial_spectra(draw):
+    """Spectra Haar states never produce: graded 10^-k ladders (down to
+    underflow, so exact e_k = 0 tails), rank-deficient ones with exact zero
+    eigenvalues, tight clusters, and near-product states."""
+    n = draw(st.integers(3, 32))
+    kind = draw(st.sampled_from(["graded", "rank_deficient", "clustered", "near_product"]))
+    unit = st.floats(0.01, 1.0)
+    if kind == "graded":
+        lam = 10.0 ** (-draw(st.floats(0.5, 12.0)) * np.arange(n))
+    elif kind == "rank_deficient":
+        rank = draw(st.integers(1, n - 1))
+        lam = np.r_[draw(st.lists(unit, min_size=rank, max_size=rank)), np.zeros(n - rank)]
+    elif kind == "clustered":
+        spread = 10.0 ** -draw(st.floats(3.0, 12.0))
+        lam = 1.0 + spread * np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+    else:
+        eps2 = 10.0 ** -draw(st.floats(4.0, 16.0))
+        lam = np.r_[1.0, eps2 * np.array(draw(st.lists(unit, min_size=n - 1, max_size=n - 1)))]
+    lam = np.sort(lam)[::-1]
+    return lam / lam.sum()
+
+
+def same(a, b):
+    return a.converged == b.converged and a.value.hex() == b.value.hex()
+
+
+@settings(max_examples=120, deadline=None)
+@given(lam=adversarial_spectra())
+def test_stacked_eigensolve_matches_per_order_roots_bitwise(lam):
+    # Every caller of the stacked eigensolve returns the per-order route's
+    # value and converged flag bit for bit, at every order up to n <= 32.
+    # One column per nonzero eigenvalue: schmidt_spectrum pads exact zeros.
+    n = len(lam)
+    amps = np.zeros((n, max(np.count_nonzero(lam), 1)))
+    amps[: amps.shape[1], :] = np.diag(np.sqrt(lam[: amps.shape[1]]))
+    state = validate_state(amps, renormalize=True)
+    esp = esp_from_spectrum(schmidt_spectrum(state))
+    ref = {r: s_r_per_order(esp, r) for r in range(2, n + 1)}
+    report = analyze(state, AnalysisOptions(r_max=n))
+    for r in range(2, n):
+        converged = report.convergence["s_r"][str(r)]["converged"]
+        assert same(SeriesResult(report.entropies["s_r"][str(r)], 1, converged), ref[r][0])
+    for r, res in zip(range(2, n + 1), truncated_entropies(esp, range(2, n + 1))):
+        assert same(res, ref[r][0])
+        assert same(s_r_truncated(esp, r), ref[r][0])
+    assert same(von_neumann_series(esp), ref[n][0])
+    for r in (2, max(2, n // 2), n):
+        nu, m = ref[r][1][:, None], np.arange(1, 6)
+        expected = math.fsum((nu * (1.0 - nu) ** m / m).real.ravel())
+        assert series_partial_sum(esp, r, 5).hex() == expected.hex()
+
+
+def test_stacked_eigensolve_keeps_exact_zero_roots():
+    # d < n leaves e_k = 0.0 exactly for k > rank.  Those zeros are roots of
+    # q_r at exactly 0, as np.roots strips them; eigenvalues of the unstripped
+    # companion matrix would move every S_r of these states by ~1e-16.
+    for seed in range(1, 6):
+        state = random_haar_state(12, 3, seed)
+        esp = esp_from_spectrum(schmidt_spectrum(state))
+        assert esp[4] == 0.0
+        ref = [s_r_per_order(esp, r)[0] for r in range(2, 12)]
+        assert all(map(same, truncated_entropies(esp, range(2, 12)), ref))
 
 
 @pytest.mark.parametrize("r", [27, 31])
@@ -334,7 +411,7 @@ def test_s_r_near_product_states_converge(n, eps):
     for r in range(2, 5):
         res = s_r_truncated(esp, r)
         assert res.converged
-        assert abs(res.value - q_r_roots_entropy(esp, r)[0]) <= 1e-12
+        assert abs(res.value - s_r_per_order(esp, r)[0].value) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [4, 8])
@@ -349,7 +426,7 @@ def test_s_r_bell_pair_embedded(n):
     for r in range(2, n + 1):
         res = s_r_truncated(esp, r)
         assert res.converged
-        assert abs(res.value - q_r_roots_entropy(esp, r)[0]) <= 1e-12
+        assert abs(res.value - s_r_per_order(esp, r)[0].value) <= 1e-12
         assert abs(res.value - LN2) <= 1e-12
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from espent import (
     DimensionMismatchError,
+    IndefiniteMatrixError,
     NormError,
     ZeroStateError,
     gram_matrix,
@@ -13,6 +14,7 @@ from espent import (
     spectrum,
     validate_state,
 )
+from espent.states import ReducedDensityMatrix
 from conftest import random_bell, random_product_state
 
 
@@ -158,3 +160,32 @@ def test_random_haar_state_deterministic():
     a = random_haar_state(3, 4, seed=42)
     b = random_haar_state(3, 4, seed=42)
     np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "matrix, error",
+    [
+        ([[0.5, NAN], [NAN, 0.5]], IndefiniteMatrixError),
+        ([[NAN, 0.0], [0.0, 0.5]], IndefiniteMatrixError),
+        ([[INF, 0.0], [0.0, 0.5]], NormError),
+        ([[0.5, -INF], [-INF, 0.5]], None),
+        ([[0.5, INF], [-INF, 0.5]], IndefiniteMatrixError),
+        ([[0.5, 1e-11], [0.0, 0.5]], IndefiniteMatrixError),
+        ([[0.5, 1e-13], [0.0, 0.5]], None),
+        ([[0.5, 0.1j], [-0.1j, 0.5]], None),
+        ([[0.5, 0.1j], [0.1j, 0.5]], IndefiniteMatrixError),
+    ],
+)
+def test_hermitian_check_verdicts(matrix, error):
+    # The exact-equality fast path must give the verdict and error type of
+    # the tolerance test alone: np.allclose(m, m^dagger, atol=1e-12, rtol=0).
+    m = np.array(matrix, dtype=complex)
+    assert (error is IndefiniteMatrixError) != np.allclose(m, m.conj().T, atol=1e-12, rtol=0.0)
+    if error is None:
+        ReducedDensityMatrix(dim=2, matrix=m)
+    else:
+        with pytest.raises(error):
+            ReducedDensityMatrix(dim=2, matrix=m)
