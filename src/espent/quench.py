@@ -1,10 +1,10 @@
 """Quench-dynamics demo: exact evolution of small spin chains.
 
 Evolves a product state under a transverse-field Ising or XXZ chain and
-runs the full analysis at each time, so the growth of the truncated
-entropies can be tracked alongside the von Neumann entropy.  The evolution
-is exact, by eigh in the spin-flip x reflection symmetry sectors of the
-basis states the initial ket reaches (see quench_trajectory).
+analyzes all times in one batch, so the growth of the truncated entropies
+can be tracked alongside the von Neumann entropy.  The evolution is exact,
+by eigh in the spin-flip x reflection symmetry sectors of the basis states
+the initial ket reaches, built from H's nonzero triples (quench_trajectory).
 """
 
 from __future__ import annotations
@@ -15,8 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidCutError, InvalidOptionError, TooLargeError
-from .report import AnalysisOptions, AnalysisReport, analyze
-from .states import MAX_AMPLITUDES, validate_state
+from .report import AnalysisOptions, AnalysisReport, analyze_batch
+from .report import analyze  # noqa: F401  the benchmark tracer (bench/spans.py) wraps this name
+from .states import MAX_AMPLITUDES
+from .states import validate_state  # noqa: F401  bench/spans.py wraps this name too
 
 MAX_LENGTH = 12
 
@@ -59,33 +61,43 @@ class QuenchConfig:
             raise InvalidOptionError(f"initial must be 'up' or 'neel', got {self.initial!r}")
 
 
-def build_hamiltonian(config: QuenchConfig) -> np.ndarray:
-    """Dense real open-chain Hamiltonian for the configured model.
+def hamiltonian_triples(config: QuenchConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """H's nonzero entries as (rows, cols, values), each (row, col) once.
 
-    Filled from bit operations on basis indices: site i is bit L-1-i (site 0
-    is the most significant bit) and spin up is bit 0, so Z_i Z_{i+1} is
-    diagonal and X_i flips one bit.  Both models are real symmetric.  The
-    diagonal is one coupling times sum Z_i Z_{i+1} = L - 1 - 2 (antiparallel
+    From bit operations on basis indices: site i is bit L-1-i (site 0 is the
+    most significant bit) and spin up is bit 0, so Z_i Z_{i+1} is diagonal and
+    X_i flips one bit.  Both models are real symmetric; zeros are dropped.
+    The diagonal is one coupling times sum Z_i Z_{i+1} = L - 1 - 2 (antiparallel
     bonds), rounded once, so it is bitwise equal on reflected indices.
     """
-    L = config.length
+    L, J = config.length, config.coupling
     idx = np.arange(2**L)
-    h = np.zeros((idx.size, idx.size))
     zz_sum = np.full(idx.size, L - 1)
+    hops = []  # (rows, cols, values) off the diagonal
     for i in range(L - 1):
         anti = np.flatnonzero(((idx >> (L - 2 - i)) ^ (idx >> (L - 1 - i))) & 1)
         zz_sum[anti] -= 2
         if config.model == "xxz":
             # XX + YY swaps an antiparallel pair with amplitude 2
-            h[anti, anti ^ (3 << (L - 2 - i))] = 2.0 * config.coupling
+            hops.append((anti, anti ^ (3 << (L - 2 - i)), np.full(anti.size, 2 * J)))
     if config.model == "tfi":
         # H = -J sum Z_i Z_{i+1} - h sum X_i
-        h[idx, idx] = -config.coupling * zz_sum
-        for i in range(L):
-            h[idx, idx ^ (1 << (L - 1 - i))] = -config.field_strength
+        diag = -J * zz_sum
+        field = np.full(idx.size, -config.field_strength)
+        hops += [(idx, idx ^ (1 << i), field) for i in range(L)]
     else:
         # H = J sum (X_i X_{i+1} + Y_i Y_{i+1} + Delta Z_i Z_{i+1})
-        h[idx, idx] = config.coupling * config.anisotropy * zz_sum
+        diag = J * config.anisotropy * zz_sum
+    rows, cols, vals = map(np.concatenate, zip((idx, idx, diag), *hops))
+    keep = vals != 0.0
+    return rows[keep], cols[keep], vals[keep]
+
+
+def build_hamiltonian(config: QuenchConfig) -> np.ndarray:
+    """Dense 2^L x 2^L view of hamiltonian_triples; the quench never builds it."""
+    h = np.zeros((2**config.length, 2**config.length))
+    rows, cols, vals = hamiltonian_triples(config)
+    h[rows, cols] = vals
     return h
 
 
@@ -100,16 +112,17 @@ def initial_product_state(config: QuenchConfig) -> np.ndarray:
     return psi
 
 
-def _evolve_in_sectors(h: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """exp(-i h t) psi0 for each t, exact, as columns; see quench_trajectory."""
-    dim, length = h.shape[0], h.shape[0].bit_length() - 1
-    rows, cols = np.nonzero(h)
+def _evolve_in_sectors(rows, cols, vals, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """exp(-i H t) psi0 for each t, exact, as columns, from H's triples; see quench_trajectory."""
+    dim, length = psi0.size, psi0.size.bit_length() - 1
     idx = np.arange(dim)
     flip = idx ^ (dim - 1)
     refl = sum(((idx >> i) & 1) << (length - 1 - i) for i in range(length))
+    # Sorting key + i value lists each (row, col, value) once, by row then col
+    entries = np.sort(rows * dim + cols + 1j * vals)
     for name, g in (("global spin flip", flip), ("spatial reflection", refl)):
-        # g is a permutation, so g H g = H iff each nonzero keeps its value under g
-        if not np.array_equal(h[g[rows], g[cols]], h[rows, cols]):
+        # g is a permutation, so g H g = H iff g maps the triples onto themselves
+        if not np.array_equal(np.sort(g[rows] * dim + g[cols] + 1j * vals), entries):
             raise RuntimeError(f"the Hamiltonian does not commute with the {name}")
     reached = frontier = psi0 != 0
     while frontier.any():
@@ -133,7 +146,14 @@ def _evolve_in_sectors(h: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> np
         a = c * (chi * psi0[gr]).sum(axis=0)
         if not a.any():
             continue
-        block = sum(x * h[np.ix_(gr[0], g_r)] for x, g_r in zip(chi[:, 0], gr))
+        pos = np.full(dim, -1)
+        pos[gr[0]] = np.arange(gr.shape[1])
+        block = np.zeros((gr.shape[1],) * 2)
+        for x, (g, _, _) in zip(chi[:, 0], group):
+            # H[r_a, g r_b] (g g = 1): one triple per (a, b) and g, summed in group order
+            a_of, b_of = pos[rows], pos[g[cols]]
+            hit = (a_of >= 0) & (b_of >= 0)
+            block[a_of[hit], b_of[hit]] += x * vals[hit]
         evals, evecs = np.linalg.eigh(len(group) * np.outer(c, c) * block)
         phases = np.exp(-1j * np.outer(evals, times)) * (evecs.T @ a)[:, None]
         # Two real products: a complex right factor would copy evecs to complex
@@ -146,7 +166,7 @@ def _evolve_in_sectors(h: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> np
 def quench_trajectory(
     config: QuenchConfig, options: AnalysisOptions | None = None
 ) -> list[tuple[float, AnalysisReport]]:
-    """Evolve the initial product state and analyze each time point.
+    """Evolve the initial product state; analyze all time points in one batch.
 
     H commutes with the global spin flip F: s -> s ^ (2^L - 1) and the
     reflection R, which reverses the L bits of s (both checked exactly on
@@ -158,14 +178,7 @@ def quench_trajectory(
     H_chi[r, r'] = |G| c_r c_r' sum_g chi(g) H[r, g r'].  psi0 evolves
     exactly (no Trotter error) by a real eigh of each sector it has weight in.
     """
-    if options is None:
-        options = AnalysisOptions()
     times = np.linspace(0.0, config.tmax, config.steps + 1)
-    kets = _evolve_in_sectors(build_hamiltonian(config), initial_product_state(config), times)
-    n = 2**config.cut
-    d = 2 ** (config.length - config.cut)
-    out = []
-    for t, psi_t in zip(times, kets.T):
-        state = validate_state(psi_t.reshape(n, d), renormalize=True)
-        out.append((float(t), analyze(state, options)))
-    return out
+    kets = _evolve_in_sectors(*hamiltonian_triples(config), initial_product_state(config), times)
+    stack = kets.T.reshape(times.size, 2**config.cut, -1)
+    return list(zip(times.tolist(), analyze_batch(stack, options, renormalize=True)))

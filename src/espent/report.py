@@ -1,11 +1,9 @@
-"""Full analysis of a single state: ESPs, purities, the entropy stack,
+"""Full analysis of one state or a stack: ESPs, purities, the entropy stack,
 optional interference simulation, and every cross-check residual."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .entropy import (
     PuritySequence,
@@ -23,7 +21,9 @@ from .entropy import (
 )
 from .errors import InvalidOptionError
 from .fermions import fermionic_encoding_probability
-from .states import PureBipartiteState, reduced_density_matrix, schmidt_spectrum, spectrum
+from .states import PureBipartiteState, Spectrum, eigvalsh_spectra, gram_matrix
+from .states import schmidt_spectra, validate_stack
+from .states import reduced_density_matrix, spectrum  # noqa: F401  bench/spans.py wraps these
 from .volumes import (
     esp_from_charpoly,  # noqa: F401  the benchmark tracer (bench/spans.py) wraps this name
     esp_from_spectrum,
@@ -74,26 +74,47 @@ class AnalysisReport:
 
 
 def analyze(state: PureBipartiteState, options: AnalysisOptions | None = None) -> AnalysisReport:
-    """Run the full measurement stack on one state.
+    """Run the full measurement stack on one state: the batch route on a stack
+    of one, without validating the already validated state again."""
+    return _analyze_stack(state.amplitudes[None], options)[0]
 
-    The spectrum is the squared singular values of psi, whose small
-    eigenvalues come out with relative accuracy; the ESPs and purities are
-    computed from it.  Each is checked against a second route and the
-    residual reported: the ESPs against those of eigvalsh(rho), the purities
-    against Newton's recurrence on the ESPs.
+
+def analyze_batch(
+    amplitudes, options: AnalysisOptions | None = None, renormalize: bool = False
+) -> list[AnalysisReport]:
+    """Run the full measurement stack on each state of a (B, n, d) stack.
+
+    Rows are validated as validate_state does (validate_stack); the LAPACK
+    stages run once on the stack, the rest per state.  The spectrum is the
+    squared singular values of psi, whose small eigenvalues come out with
+    relative accuracy; the ESPs and purities come from it, each checked against
+    a second route: eigvalsh(rho) for the ESPs, Newton's recurrence for purities.
     """
+    return _analyze_stack(validate_stack(amplitudes, renormalize)[0], options)
+
+
+def _analyze_stack(amps, options: AnalysisOptions | None) -> list[AnalysisReport]:
+    """analyze_batch on a validated C-ordered stack."""
     if options is None:
         options = AnalysisOptions()
-    spec = schmidt_spectrum(state)
-    n = state.n
+    step = max(1, 2**16 // amps.shape[1] ** 2)  # a chunk's n x n rho stack holds about 1 MiB
+    chunks = (gram_matrix(amps[i : i + step]) for i in range(0, len(amps), step))
+    eig = [e for rho in chunks for e in eigvalsh_spectra(rho).tolist()]
+    return [
+        _report(psi, Spectrum(eigenvalues=lam), Spectrum(eigenvalues=e), options)
+        for psi, lam, e in zip(amps, schmidt_spectra(amps).tolist(), eig)
+    ]
+
+
+def _report(psi, spec: Spectrum, spec_eig: Spectrum, options: AnalysisOptions) -> AnalysisReport:
+    """analyze_batch's per-state rest, from the two spectra of psi."""
+    n, d = psi.shape
     r_max = options.r_max if options.r_max is not None else min(n, 4)
     r_max = min(r_max, n)
 
     esp = esp_from_spectrum(spec)
-    esp_eig = esp_from_spectrum(spectrum(reduced_density_matrix(state, side="M")))
-    esp_route_residual = float(
-        np.max(np.abs(np.array(esp.values) - np.array(esp_eig.values)))
-    )
+    esp_eig = esp_from_spectrum(spec_eig)
+    esp_route_residual = max(abs(x - y) for x, y in zip(esp.values, esp_eig.values))
 
     purities = purities_from_spectrum(spec, options.k_max)
     purity_residual = _purity_residual(purities, purities_recurrence(esp, options.k_max))
@@ -129,7 +150,7 @@ def analyze(state: PureBipartiteState, options: AnalysisOptions | None = None) -
     bunching = None
     bunching_residual = None
     if options.simulate_bunching:
-        p_bunch = fermionic_encoding_probability(state)
+        p_bunch = fermionic_encoding_probability(PureBipartiteState(n, d, psi))
         bunching_residual = abs(p_bunch - esp[2]) if n >= 2 else abs(p_bunch)
         bunching = {"p_bunch": p_bunch, "e2_residual": bunching_residual}
 
@@ -141,7 +162,7 @@ def analyze(state: PureBipartiteState, options: AnalysisOptions | None = None) -
 
     return AnalysisReport(
         n=n,
-        d=state.d,
+        d=d,
         spectrum=spec.eigenvalues,
         esp=esp.display_values(),
         purities=purities.values,

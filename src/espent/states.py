@@ -67,6 +67,8 @@ class ReducedDensityMatrix:
             raise IndefiniteMatrixError("reduced density matrix is not Hermitian")
         if abs(np.trace(m).real - 1.0) > 1e-10:
             raise NormError(f"trace {np.trace(m).real} is not 1")
+        if not np.isfinite(m).all():
+            raise ValueError("reduced density matrix has a NaN or infinite entry")
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -105,27 +107,35 @@ def validate_state(raw, renormalize: bool = False) -> PureBipartiteState:
     raw = np.asarray(raw, dtype=complex)
     if raw.ndim != 2 or raw.size == 0:
         raise DimensionMismatchError(f"expected a nonempty 2-d matrix, got shape {raw.shape}")
-    if not np.isfinite(raw).all():
+    amps, factors = validate_stack(raw[None], renormalize)
+    return PureBipartiteState(*raw.shape, amplitudes=amps[0], renorm_factor=factors[0])
+
+
+def validate_stack(raw, renormalize: bool = False) -> tuple[np.ndarray, list[float]]:
+    """validate_state on each matrix of a (B, n, d) stack: returns a C-ordered
+    copy with each row rescaled, and the factors.  Each norm is that of its own
+    matrix, summed as validate_state sums it; the first row that fails raises."""
+    amps = np.array(raw, dtype=complex, order="C")
+    if amps.ndim != 3 or amps.size == 0:
+        raise DimensionMismatchError(f"expected a nonempty 3-d stack, got shape {amps.shape}")
+    if not np.isfinite(amps).all():
         raise NormError("state has a NaN or infinite amplitude")
+    factors = []
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(raw))
-    if norm == math.inf:  # amplitudes above ~1e154: renormalizing would zero them
-        raise NormError("state norm overflows a float")
-    if norm < ZERO_NORM_TOL:
-        raise ZeroStateError(f"state norm {norm} below {ZERO_NORM_TOL}")
-    if abs(norm - 1.0) > NORM_TOL and not renormalize:
-        raise NormError(
-            f"state norm {norm} outside [1-{NORM_TOL}, 1+{NORM_TOL}]; "
-            "pass renormalize=True to rescale"
-        )
-    factor = 1.0
-    if abs(norm - 1.0) > 1e-12:
-        # Rescale; deviations below 1e-12 are left untouched so canonical
-        # files round-trip bitwise.
-        factor = 1.0 / norm
-        raw = raw * factor
-    n, d = raw.shape
-    return PureBipartiteState(n=n, d=d, amplitudes=raw, renorm_factor=factor)
+        for x in amps:
+            norm = float(np.linalg.norm(x))
+            if norm == math.inf:  # amplitudes above ~1e154: renormalizing would zero them
+                raise NormError("state norm overflows a float")
+            if norm < ZERO_NORM_TOL:
+                raise ZeroStateError(f"state norm {norm} below {ZERO_NORM_TOL}")
+            if abs(norm - 1.0) > NORM_TOL and not renormalize:
+                msg = f"outside [1-{NORM_TOL}, 1+{NORM_TOL}]; pass renormalize=True to rescale"
+                raise NormError(f"state norm {norm} {msg}")
+            # Deviations below 1e-12 are left untouched so canonical files round-trip bitwise.
+            factors.append(1.0 / norm if abs(norm - 1.0) > 1e-12 else 1.0)
+            if factors[-1] != 1.0:
+                x *= factors[-1]
+    return amps, factors
 
 
 def projected_states(state: PureBipartiteState, side: str = "M") -> np.ndarray:
@@ -142,7 +152,7 @@ def projected_states(state: PureBipartiteState, side: str = "M") -> np.ndarray:
 
 
 def gram_matrix(v: np.ndarray) -> np.ndarray:
-    """Matrix of pairwise inner products of the rows of v.
+    """Matrix of pairwise inner products of the rows of v, or a stack of them.
 
     Convention: G[a, b] = <v_b | v_a>, i.e. G = V V^dagger, so that the Gram
     matrix of the projected states coincides elementwise with the reduced
@@ -150,8 +160,8 @@ def gram_matrix(v: np.ndarray) -> np.ndarray:
     textbook Gram matrix; being Hermitian, it has the same principal minors
     and determinant.  Symmetrized so that Hermiticity holds exactly.
     """
-    g = v @ v.conj().T
-    return 0.5 * (g + g.conj().T)
+    g = v @ v.conj().swapaxes(-1, -2)
+    return 0.5 * (g + g.conj().swapaxes(-1, -2))
 
 
 def reduced_density_matrix(state: PureBipartiteState, side: str = "M") -> ReducedDensityMatrix:
@@ -165,24 +175,39 @@ def reduced_density_matrix(state: PureBipartiteState, side: str = "M") -> Reduce
 
 
 def spectrum(rho: ReducedDensityMatrix) -> Spectrum:
-    """Eigenvalues of rho, clamped, renormalized, sorted descending.
+    """Eigenvalues of rho, clamped, renormalized, sorted descending."""
+    return Spectrum(eigenvalues=eigvalsh_spectra(rho.matrix[None])[0])
 
-    Eigenvalues in [-EIG_CLAMP_TOL, 0) are set to zero (floating-point PSD
-    violation); anything more negative raises IndefiniteMatrixError.
-    """
-    vals = np.linalg.eigvalsh(rho.matrix)
+
+def eigvalsh_spectra(rho: np.ndarray) -> np.ndarray:
+    """spectrum's route on a (B, n, n) stack, each checked as ReducedDensityMatrix
+    checks one.  Eigenvalues in [-EIG_CLAMP_TOL, 0) are set to zero (floating-point
+    PSD violation); anything more negative raises IndefiniteMatrixError."""
+    trace = np.trace(rho, axis1=1, axis2=2).real
+    exact = (rho == rho.conj().swapaxes(1, 2)).all() and np.isfinite(rho).all()
+    if not (exact and (abs(trace - 1.0) <= 1e-10).all()):
+        for x in rho:  # the first matrix that fails raises its error
+            ReducedDensityMatrix(dim=len(x), matrix=x)
+    vals = np.linalg.eigvalsh(rho)
     if vals.min() < -EIG_CLAMP_TOL:
-        raise IndefiniteMatrixError(f"eigenvalue {vals.min()} below -{EIG_CLAMP_TOL}")
+        low = vals.min(axis=1)
+        first = low[low < -EIG_CLAMP_TOL][0]  # of the first matrix that fails
+        raise IndefiniteMatrixError(f"eigenvalue {first} below -{EIG_CLAMP_TOL}")
     vals = np.clip(vals, 0.0, None)
-    return Spectrum(eigenvalues=(vals / vals.sum())[::-1])  # eigvalsh ascends
+    return (vals / vals.sum(axis=1, keepdims=True))[:, ::-1]  # eigvalsh ascends
 
 
 def schmidt_spectrum(state: PureBipartiteState) -> Spectrum:
     """Squared singular values of the amplitude matrix (padded to length n)."""
-    s = np.linalg.svd(state.amplitudes, compute_uv=False)
-    lam = np.zeros(state.n)
-    lam[: s.shape[0]] = s**2  # svd's values are nonnegative and descending
-    return Spectrum(eigenvalues=lam / lam.sum())
+    return Spectrum(eigenvalues=schmidt_spectra(state.amplitudes[None])[0])
+
+
+def schmidt_spectra(amps: np.ndarray) -> np.ndarray:
+    """schmidt_spectrum's route on a (B, n, d) stack, one svd call."""
+    s = np.linalg.svd(amps, compute_uv=False)
+    lam = np.zeros(amps.shape[:2])
+    lam[:, : s.shape[1]] = s**2  # svd's values are nonnegative and descending
+    return lam / lam.sum(axis=1, keepdims=True)
 
 
 def random_haar_state(n: int, d: int, seed: int) -> PureBipartiteState:

@@ -1,4 +1,6 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +14,12 @@ from espent import (
     InvalidOptionError,
     QuenchConfig,
     TooLargeError,
+    analyze,
     build_hamiltonian,
     quench_trajectory,
+    validate_state,
 )
-from espent.quench import initial_product_state
+from espent.quench import _evolve_in_sectors, hamiltonian_triples, initial_product_state
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -71,6 +75,62 @@ def test_hamiltonian_matches_kron_reference(length, model, coupling, field_stren
     h = build_hamiltonian(cfg)
     assert h.dtype == np.float64
     np.testing.assert_allclose(h, kron_hamiltonian(cfg), rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("length", range(2, 11))
+@pytest.mark.parametrize("model", ["tfi", "xxz"])
+@pytest.mark.parametrize(
+    "coupling, field_strength, anisotropy", COUPLINGS + [(1.0, 0.0, 1.0), (0.7, 1.3, 0.0)]
+)
+def test_triples_are_the_nonzero_entries(length, model, coupling, field_strength, anisotropy):
+    # Zero values are dropped as np.nonzero drops them (with h = 0 or
+    # Delta = 0 they would change the reached set), and each (row, col)
+    # occurs once, which the sector blocks rely on
+    cfg = QuenchConfig(
+        model=model, length=length, cut=1, tmax=1.0, steps=1, coupling=coupling,
+        field_strength=field_strength, anisotropy=anisotropy,
+    )
+    rows, cols, vals = hamiltonian_triples(cfg)
+    triples = set(zip(rows.tolist(), cols.tolist(), vals.tolist()))
+    h = build_hamiltonian(cfg)
+    nonzero = np.nonzero(h)
+    assert len(triples) == rows.size == len(set(zip(rows.tolist(), cols.tolist())))
+    assert triples == set(zip(*(x.tolist() for x in nonzero), h[nonzero].tolist()))
+    if length <= 6:
+        assert set(zip(rows.tolist(), cols.tolist())) == set(
+            zip(*(x.tolist() for x in np.nonzero(kron_hamiltonian(cfg))))
+        )
+
+
+@pytest.mark.parametrize("model", ["tfi", "xxz"])
+def test_trajectory_allocates_no_dense_hamiltonian(model):
+    # The dense H of L = 11 alone is 32 MiB; the peak is 10.5 MiB (TFI, two
+    # sectors of 528 states) and 2.3 MiB (XXZ)
+    cfg = QuenchConfig(model=model, length=11, cut=5, tmax=1.0, steps=1)
+    tracemalloc.start()
+    try:
+        quench_trajectory(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 4**cfg.length / 2
+
+
+@pytest.mark.parametrize(
+    "length, cut", [(6, 1), (6, 3), (7, 2), (7, 6), (8, 4), (9, 1), (9, 4), (9, 8)]
+)
+@pytest.mark.parametrize("model", ["tfi", "xxz"])
+def test_trajectory_reports_match_analyze_per_ket(model, length, cut):
+    # One analyze_batch call over the trajectory gives each time point the
+    # bytes of analyze on its own ket
+    cfg = QuenchConfig(model=model, length=length, cut=cut, tmax=2.0, steps=8)
+    options = AnalysisOptions(r_max=3)
+    times = np.linspace(0.0, cfg.tmax, cfg.steps + 1)
+    kets = _evolve_in_sectors(*hamiltonian_triples(cfg), initial_product_state(cfg), times)
+    for (t, report), ket, t_ref in zip(quench_trajectory(cfg, options), kets.T, times):
+        state = validate_state(ket.reshape(2**cut, -1), renormalize=True)
+        assert t == t_ref
+        assert json.dumps(report.to_dict()) == json.dumps(analyze(state, options).to_dict())
 
 
 def assert_matches_kron_evolution(cfg, r_max):
@@ -214,15 +274,30 @@ def _asymmetric_flip_hop(h, L):
     h[2 ** (L - 1), 0] += 0.3
 
 
+def _bond_0_zz(h, L):
+    # 0.3 Z_0 Z_1 on bond 0 only: F keeps it, R moves it to bond L - 2
+    idx = np.arange(2**L)
+    h[idx, idx] += 0.3 * (1.0 - 2.0 * (((idx >> (L - 1)) ^ (idx >> (L - 2))) & 1))
+
+
+def _perturbed_triples(perturb):
+    """hamiltonian_triples with perturb applied to the dense matrix they fill."""
+
+    def triples(config):
+        h = np.zeros((2**config.length, 2**config.length))
+        rows, cols, vals = hamiltonian_triples(config)
+        h[rows, cols] = vals
+        perturb(h, config.length)
+        rows, cols = np.nonzero(h)
+        return rows, cols, h[rows, cols]
+
+    return triples
+
+
 @pytest.mark.parametrize("perturb", [_z_field_on_site_0, _asymmetric_flip_hop])
 @pytest.mark.parametrize("model", ["tfi", "xxz"])
 def test_non_commuting_hamiltonian_raises(monkeypatch, perturb, model):
-    def build(config):
-        h = build_hamiltonian(config)
-        perturb(h, config.length)
-        return h
-
-    monkeypatch.setattr(espent.quench, "build_hamiltonian", build)
+    monkeypatch.setattr(espent.quench, "hamiltonian_triples", _perturbed_triples(perturb))
     cfg = QuenchConfig(model=model, length=4, cut=2, tmax=1.0, steps=2)
     with pytest.raises(RuntimeError, match="spin flip"):
         quench_trajectory(cfg)
@@ -230,14 +305,7 @@ def test_non_commuting_hamiltonian_raises(monkeypatch, perturb, model):
 
 @pytest.mark.parametrize("model", ["tfi", "xxz"])
 def test_reflection_breaking_hamiltonian_raises(monkeypatch, model):
-    def build(config):
-        # 0.3 Z_0 Z_1 on bond 0 only: F keeps it, R moves it to bond L - 2
-        h = build_hamiltonian(config)
-        idx, L = np.arange(2**config.length), config.length
-        h[idx, idx] += 0.3 * (1.0 - 2.0 * (((idx >> (L - 1)) ^ (idx >> (L - 2))) & 1))
-        return h
-
-    monkeypatch.setattr(espent.quench, "build_hamiltonian", build)
+    monkeypatch.setattr(espent.quench, "hamiltonian_triples", _perturbed_triples(_bond_0_zz))
     cfg = QuenchConfig(model=model, length=4, cut=2, tmax=1.0, steps=2)
     with pytest.raises(RuntimeError, match="reflection"):
         quench_trajectory(cfg)

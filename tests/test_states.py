@@ -14,7 +14,7 @@ from espent import (
     spectrum,
     validate_state,
 )
-from espent.states import ReducedDensityMatrix
+from espent.states import ReducedDensityMatrix, eigvalsh_spectra
 from conftest import random_bell, random_product_state
 
 
@@ -171,7 +171,7 @@ NAN, INF = float("nan"), float("inf")
         ([[0.5, NAN], [NAN, 0.5]], IndefiniteMatrixError),
         ([[NAN, 0.0], [0.0, 0.5]], IndefiniteMatrixError),
         ([[INF, 0.0], [0.0, 0.5]], NormError),
-        ([[0.5, -INF], [-INF, 0.5]], None),
+        ([[0.5, -INF], [-INF, 0.5]], ValueError),
         ([[0.5, INF], [-INF, 0.5]], IndefiniteMatrixError),
         ([[0.5, 1e-11], [0.0, 0.5]], IndefiniteMatrixError),
         ([[0.5, 1e-13], [0.0, 0.5]], None),
@@ -182,6 +182,8 @@ NAN, INF = float("nan"), float("inf")
 def test_hermitian_check_verdicts(matrix, error):
     # The exact-equality fast path must give the verdict and error type of
     # the tolerance test alone: np.allclose(m, m^dagger, atol=1e-12, rtol=0).
+    # Symmetric infinities pass it and the trace; the finiteness check that
+    # follows refuses them.
     m = np.array(matrix, dtype=complex)
     assert (error is IndefiniteMatrixError) != np.allclose(m, m.conj().T, atol=1e-12, rtol=0.0)
     if error is None:
@@ -189,3 +191,17 @@ def test_hermitian_check_verdicts(matrix, error):
     else:
         with pytest.raises(error):
             ReducedDensityMatrix(dim=2, matrix=m)
+
+
+def test_density_matrix_stack_raises_the_first_failing_row():
+    # eigvalsh_spectra applies ReducedDensityMatrix's checks to each matrix
+    good, skew = np.eye(2, dtype=complex) / 2.0, np.array([[0.5, 1.0], [0.0, 0.5]])
+    with pytest.raises(NormError):
+        eigvalsh_spectra(np.array([good, 2.0 * good, skew]))
+    with pytest.raises(IndefiniteMatrixError, match="Hermitian"):
+        eigvalsh_spectra(np.array([good, skew, 2.0 * good]))
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        eigvalsh_spectra(np.array([good, [[0.5, -INF], [-INF, 0.5]]]))
+    with pytest.raises(IndefiniteMatrixError, match="eigenvalue"):
+        eigvalsh_spectra(np.array([good, [[0.5, 0.6], [0.6, 0.5]]]))
+    assert eigvalsh_spectra(np.array([good, good])).tolist() == [[0.5, 0.5]] * 2
