@@ -17,8 +17,7 @@ import numpy as np
 from .errors import InvalidCutError, InvalidOptionError, TooLargeError
 from .report import AnalysisOptions, AnalysisReport, analyze_batch
 from .report import analyze  # noqa: F401  the benchmark tracer (bench/spans.py) wraps this name
-from .states import MAX_AMPLITUDES
-from .states import validate_state  # noqa: F401  bench/spans.py wraps this name too
+from .states import MAX_AMPLITUDES, validate_state
 
 MAX_LENGTH = 12
 
@@ -68,8 +67,7 @@ def hamiltonian_triples(config: QuenchConfig) -> tuple[np.ndarray, np.ndarray, n
     most significant bit) and spin up is bit 0, so Z_i Z_{i+1} is diagonal and
     X_i flips one bit.  Both models are real symmetric; zeros are dropped.
     The diagonal is one coupling times sum Z_i Z_{i+1} = L - 1 - 2 (antiparallel
-    bonds), rounded once, so it is bitwise equal on reflected indices.
-    """
+    bonds), rounded once, so it is bitwise equal on reflected indices."""
     L, J = config.length, config.coupling
     idx = np.arange(2**L)
     zz_sum = np.full(idx.size, L - 1)
@@ -83,8 +81,7 @@ def hamiltonian_triples(config: QuenchConfig) -> tuple[np.ndarray, np.ndarray, n
     if config.model == "tfi":
         # H = -J sum Z_i Z_{i+1} - h sum X_i
         diag = -J * zz_sum
-        field = np.full(idx.size, -config.field_strength)
-        hops += [(idx, idx ^ (1 << i), field) for i in range(L)]
+        hops += [(idx, idx ^ (1 << i), np.full(idx.size, -config.field_strength)) for i in range(L)]
     else:
         # H = J sum (X_i X_{i+1} + Y_i Y_{i+1} + Delta Z_i Z_{i+1})
         diag = J * config.anisotropy * zz_sum
@@ -151,9 +148,8 @@ def _evolve_in_sectors(rows, cols, vals, psi0: np.ndarray, times: np.ndarray) ->
         block = np.zeros((gr.shape[1],) * 2)
         for x, (g, _, _) in zip(chi[:, 0], group):
             # H[r_a, g r_b] (g g = 1): one triple per (a, b) and g, summed in group order
-            a_of, b_of = pos[rows], pos[g[cols]]
-            hit = (a_of >= 0) & (b_of >= 0)
-            block[a_of[hit], b_of[hit]] += x * vals[hit]
+            hit = np.flatnonzero((pos[rows] >= 0) & (pos[g[cols]] >= 0))
+            block[pos[rows[hit]], pos[g[cols[hit]]]] += x * vals[hit]
         evals, evecs = np.linalg.eigh(len(group) * np.outer(c, c) * block)
         phases = np.exp(-1j * np.outer(evals, times)) * (evecs.T @ a)[:, None]
         # Two real products: a complex right factor would copy evecs to complex
@@ -180,5 +176,5 @@ def quench_trajectory(
     """
     times = np.linspace(0.0, config.tmax, config.steps + 1)
     kets = _evolve_in_sectors(*hamiltonian_triples(config), initial_product_state(config), times)
-    stack = kets.T.reshape(times.size, 2**config.cut, -1)
-    return list(zip(times.tolist(), analyze_batch(stack, options, renormalize=True)))
+    states = [validate_state(k.reshape(2**config.cut, -1), renormalize=True) for k in kets.T]
+    return list(zip(times.tolist(), analyze_batch(states, options)))

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .entropy import (
     PuritySequence,
     SeriesResult,
@@ -21,8 +23,7 @@ from .entropy import (
 )
 from .errors import InvalidOptionError
 from .fermions import fermionic_encoding_probability
-from .states import PureBipartiteState, Spectrum, eigvalsh_spectra, gram_matrix
-from .states import schmidt_spectra, validate_stack
+from .states import PureBipartiteState, Spectrum, eigvalsh_spectra, gram_matrix, schmidt_spectra
 from .states import reduced_density_matrix, spectrum  # noqa: F401  bench/spans.py wraps these
 from .volumes import (
     esp_from_charpoly,  # noqa: F401  the benchmark tracer (bench/spans.py) wraps this name
@@ -74,41 +75,30 @@ class AnalysisReport:
 
 
 def analyze(state: PureBipartiteState, options: AnalysisOptions | None = None) -> AnalysisReport:
-    """Run the full measurement stack on one state: the batch route on a stack
-    of one, without validating the already validated state again."""
-    return _analyze_stack(state.amplitudes[None], options)[0]
+    """Run the full measurement stack on one state: analyze_batch of one."""
+    return analyze_batch([state], options)[0]
 
 
-def analyze_batch(
-    amplitudes, options: AnalysisOptions | None = None, renormalize: bool = False
-) -> list[AnalysisReport]:
-    """Run the full measurement stack on each state of a (B, n, d) stack.
+def analyze_batch(states, options: AnalysisOptions | None = None) -> list[AnalysisReport]:
+    """Run the full measurement stack on each of a nonempty list of same-shape states.
 
-    Rows are validated as validate_state does (validate_stack); the LAPACK
-    stages run once on the stack, the rest per state.  The spectrum is the
-    squared singular values of psi, whose small eigenvalues come out with
-    relative accuracy; the ESPs and purities come from it, each checked against
-    a second route: eigvalsh(rho) for the ESPs, Newton's recurrence for purities.
-    """
-    return _analyze_stack(validate_stack(amplitudes, renormalize)[0], options)
-
-
-def _analyze_stack(amps, options: AnalysisOptions | None) -> list[AnalysisReport]:
-    """analyze_batch on a validated C-ordered stack."""
+    The SVD, Gram rho and eigvalsh run once on the stack, the rest per state.  The ESPs
+    and purities come from the squared singular values of psi (accurate when small) and
+    are checked against eigvalsh(rho) and Newton's recurrence; residuals are reported."""
     if options is None:
         options = AnalysisOptions()
+    amps = np.array([state.amplitudes for state in states])
     step = max(1, 2**16 // amps.shape[1] ** 2)  # a chunk's n x n rho stack holds about 1 MiB
     chunks = (gram_matrix(amps[i : i + step]) for i in range(0, len(amps), step))
     eig = [e for rho in chunks for e in eigvalsh_spectra(rho).tolist()]
     return [
-        _report(psi, Spectrum(eigenvalues=lam), Spectrum(eigenvalues=e), options)
-        for psi, lam, e in zip(amps, schmidt_spectra(amps).tolist(), eig)
+        _report(state, Spectrum(eigenvalues=lam), Spectrum(eigenvalues=e), options)
+        for state, lam, e in zip(states, schmidt_spectra(amps).tolist(), eig)
     ]
 
 
-def _report(psi, spec: Spectrum, spec_eig: Spectrum, options: AnalysisOptions) -> AnalysisReport:
-    """analyze_batch's per-state rest, from the two spectra of psi."""
-    n, d = psi.shape
+def _report(state, spec: Spectrum, spec_eig: Spectrum, options: AnalysisOptions) -> AnalysisReport:
+    n = state.n
     r_max = options.r_max if options.r_max is not None else min(n, 4)
     r_max = min(r_max, n)
 
@@ -150,7 +140,7 @@ def _report(psi, spec: Spectrum, spec_eig: Spectrum, options: AnalysisOptions) -
     bunching = None
     bunching_residual = None
     if options.simulate_bunching:
-        p_bunch = fermionic_encoding_probability(PureBipartiteState(n, d, psi))
+        p_bunch = fermionic_encoding_probability(state)
         bunching_residual = abs(p_bunch - esp[2]) if n >= 2 else abs(p_bunch)
         bunching = {"p_bunch": p_bunch, "e2_residual": bunching_residual}
 
@@ -162,7 +152,7 @@ def _report(psi, spec: Spectrum, spec_eig: Spectrum, options: AnalysisOptions) -
 
     return AnalysisReport(
         n=n,
-        d=d,
+        d=state.d,
         spectrum=spec.eigenvalues,
         esp=esp.display_values(),
         purities=purities.values,

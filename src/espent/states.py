@@ -63,12 +63,7 @@ class ReducedDensityMatrix:
             raise DimensionMismatchError(
                 f"matrix shape {m.shape} does not match dim {self.dim}"
             )
-        if not (np.array_equal(m, h := m.conj().T) or np.allclose(m, h, atol=1e-12, rtol=0.0)):
-            raise IndefiniteMatrixError("reduced density matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > 1e-10:
-            raise NormError(f"trace {np.trace(m).real} is not 1")
-        if not np.isfinite(m).all():
-            raise ValueError("reduced density matrix has a NaN or infinite entry")
+        check_density_matrices(m[None])
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -107,35 +102,27 @@ def validate_state(raw, renormalize: bool = False) -> PureBipartiteState:
     raw = np.asarray(raw, dtype=complex)
     if raw.ndim != 2 or raw.size == 0:
         raise DimensionMismatchError(f"expected a nonempty 2-d matrix, got shape {raw.shape}")
-    amps, factors = validate_stack(raw[None], renormalize)
-    return PureBipartiteState(*raw.shape, amplitudes=amps[0], renorm_factor=factors[0])
-
-
-def validate_stack(raw, renormalize: bool = False) -> tuple[np.ndarray, list[float]]:
-    """validate_state on each matrix of a (B, n, d) stack: returns a C-ordered
-    copy with each row rescaled, and the factors.  Each norm is that of its own
-    matrix, summed as validate_state sums it; the first row that fails raises."""
-    amps = np.array(raw, dtype=complex, order="C")
-    if amps.ndim != 3 or amps.size == 0:
-        raise DimensionMismatchError(f"expected a nonempty 3-d stack, got shape {amps.shape}")
-    if not np.isfinite(amps).all():
+    if not np.isfinite(raw).all():
         raise NormError("state has a NaN or infinite amplitude")
-    factors = []
     with np.errstate(over="ignore"):
-        for x in amps:
-            norm = float(np.linalg.norm(x))
-            if norm == math.inf:  # amplitudes above ~1e154: renormalizing would zero them
-                raise NormError("state norm overflows a float")
-            if norm < ZERO_NORM_TOL:
-                raise ZeroStateError(f"state norm {norm} below {ZERO_NORM_TOL}")
-            if abs(norm - 1.0) > NORM_TOL and not renormalize:
-                msg = f"outside [1-{NORM_TOL}, 1+{NORM_TOL}]; pass renormalize=True to rescale"
-                raise NormError(f"state norm {norm} {msg}")
-            # Deviations below 1e-12 are left untouched so canonical files round-trip bitwise.
-            factors.append(1.0 / norm if abs(norm - 1.0) > 1e-12 else 1.0)
-            if factors[-1] != 1.0:
-                x *= factors[-1]
-    return amps, factors
+        norm = float(np.linalg.norm(raw))
+    if norm == math.inf:  # amplitudes above ~1e154: renormalizing would zero them
+        raise NormError("state norm overflows a float")
+    if norm < ZERO_NORM_TOL:
+        raise ZeroStateError(f"state norm {norm} below {ZERO_NORM_TOL}")
+    if abs(norm - 1.0) > NORM_TOL and not renormalize:
+        raise NormError(
+            f"state norm {norm} outside [1-{NORM_TOL}, 1+{NORM_TOL}]; "
+            "pass renormalize=True to rescale"
+        )
+    factor = 1.0
+    if abs(norm - 1.0) > 1e-12:
+        # Rescale; deviations below 1e-12 are left untouched so canonical
+        # files round-trip bitwise.
+        factor = 1.0 / norm
+        raw = raw * factor
+    n, d = raw.shape
+    return PureBipartiteState(n=n, d=d, amplitudes=raw, renorm_factor=factor)
 
 
 def projected_states(state: PureBipartiteState, side: str = "M") -> np.ndarray:
@@ -179,20 +166,28 @@ def spectrum(rho: ReducedDensityMatrix) -> Spectrum:
     return Spectrum(eigenvalues=eigvalsh_spectra(rho.matrix[None])[0])
 
 
+def check_density_matrices(rho: np.ndarray) -> None:
+    """ReducedDensityMatrix's checks on a (B, n, n) stack; the first failing matrix raises."""
+    h = rho.conj().swapaxes(1, 2)
+    exact = (rho == h).all(axis=(1, 2))
+    hermitian = exact if exact.all() else np.isclose(rho, h, atol=1e-12, rtol=0.0).all(axis=(1, 2))
+    traces = np.trace(rho, axis1=1, axis2=2).real
+    for ok, trace, finite in zip(hermitian, traces, np.isfinite(rho).all(axis=(1, 2))):
+        if not ok:
+            raise IndefiniteMatrixError("reduced density matrix is not Hermitian")
+        if abs(trace - 1.0) > 1e-10:
+            raise NormError(f"trace {trace} is not 1")
+        if not finite:
+            raise ValueError("reduced density matrix has a NaN or infinite entry")
+
+
 def eigvalsh_spectra(rho: np.ndarray) -> np.ndarray:
-    """spectrum's route on a (B, n, n) stack, each checked as ReducedDensityMatrix
-    checks one.  Eigenvalues in [-EIG_CLAMP_TOL, 0) are set to zero (floating-point
-    PSD violation); anything more negative raises IndefiniteMatrixError."""
-    trace = np.trace(rho, axis1=1, axis2=2).real
-    exact = (rho == rho.conj().swapaxes(1, 2)).all() and np.isfinite(rho).all()
-    if not (exact and (abs(trace - 1.0) <= 1e-10).all()):
-        for x in rho:  # the first matrix that fails raises its error
-            ReducedDensityMatrix(dim=len(x), matrix=x)
+    """spectrum's route on a (B, n, n) stack, each checked as ReducedDensityMatrix checks one.
+    Eigenvalues in [-EIG_CLAMP_TOL, 0) become 0; anything lower raises IndefiniteMatrixError."""
+    check_density_matrices(rho)
     vals = np.linalg.eigvalsh(rho)
     if vals.min() < -EIG_CLAMP_TOL:
-        low = vals.min(axis=1)
-        first = low[low < -EIG_CLAMP_TOL][0]  # of the first matrix that fails
-        raise IndefiniteMatrixError(f"eigenvalue {first} below -{EIG_CLAMP_TOL}")
+        raise IndefiniteMatrixError(f"eigenvalue {vals.min()} below -{EIG_CLAMP_TOL}")
     vals = np.clip(vals, 0.0, None)
     return (vals / vals.sum(axis=1, keepdims=True))[:, ::-1]  # eigvalsh ascends
 

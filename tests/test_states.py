@@ -205,3 +205,5 @@ def test_density_matrix_stack_raises_the_first_failing_row():
     with pytest.raises(IndefiniteMatrixError, match="eigenvalue"):
         eigvalsh_spectra(np.array([good, [[0.5, 0.6], [0.6, 0.5]]]))
     assert eigvalsh_spectra(np.array([good, good])).tolist() == [[0.5, 0.5]] * 2
+    # One exact and one Hermitian only within 1e-12: both pass
+    eigvalsh_spectra(np.array([good, [[0.5, 1e-13], [0.0, 0.5]]]))
