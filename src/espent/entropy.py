@@ -28,7 +28,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice
 
 import numpy as np
 
@@ -177,25 +176,16 @@ def purities_recurrence(esp: ESPVector, K: int) -> PuritySequence:
     """
     if K < 1:
         raise OrderOutOfRangeError(f"K={K} must be >= 1")
-    return PuritySequence(values=tuple(islice(_power_sums(esp, esp.n), 1, K + 1)))
-
-
-def _power_sums(e, n: int):
-    """Yield s_0 = n, s_1, s_2, ...: power sums of the n roots whose ESPs are e.
-
-    Newton's recurrence; e[k] is read lazily for k = 1..n, so any indexable
-    holding e_1..e_n (an ESPVector or an e_0..e_n list) will do.
-    """
-    s = [float(n)]
-    yield s[0]
-    for m in count(1):
+    n = esp.n
+    s = [float(n)]  # s_0 = n
+    for m in range(1, K + 1):
         acc = math.fsum(
-            (-1) ** (i - 1) * e[i] * s[m - i] for i in range(1, min(m, n + 1))
+            (-1) ** (i - 1) * esp[i] * s[m - i] for i in range(1, min(m, n + 1))
         )
         if m <= n:
-            acc += (-1) ** (m - 1) * m * e[m]
+            acc += (-1) ** (m - 1) * m * esp[m]
         s.append(acc)
-        yield acc
+    return PuritySequence(values=tuple(s[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -84,16 +84,20 @@ def analyze_batch(states, options: AnalysisOptions | None = None) -> list[Analys
 
     The SVD, Gram rho and eigvalsh run once on the stack, the rest per state.  The ESPs
     and purities come from the squared singular values of psi (accurate when small) and
-    are checked against eigvalsh(rho) and Newton's recurrence; residuals are reported."""
+    are checked against eigvalsh(rho) and Newton's recurrence; residuals are reported.
+    rho is the Gram of the smaller side, its spectrum padded with exact zeros to n."""
     if options is None:
         options = AnalysisOptions()
     amps = np.array([state.amplitudes for state in states])
-    step = max(1, 2**16 // amps.shape[1] ** 2)  # a chunk's n x n rho stack holds about 1 MiB
-    chunks = (gram_matrix(amps[i : i + step]) for i in range(0, len(amps), step))
-    eig = [e for rho in chunks for e in eigvalsh_spectra(rho).tolist()]
+    n, d = amps.shape[1:]
+    side = amps if n <= d else amps.swapaxes(1, 2)
+    step = max(1, 2**16 // min(n, d) ** 2)  # a chunk's rho stack holds about 1 MiB
+    eig = np.zeros((len(amps), n))  # the n - d eigenvalues past the smaller side are 0
+    for i in range(0, len(amps), step):
+        eig[i : i + step, : side.shape[1]] = eigvalsh_spectra(gram_matrix(side[i : i + step]))
     return [
         _report(state, Spectrum(eigenvalues=lam), Spectrum(eigenvalues=e), options)
-        for state, lam, e in zip(states, schmidt_spectra(amps).tolist(), eig)
+        for state, lam, e in zip(states, schmidt_spectra(amps).tolist(), eig.tolist())
     ]
 
 

@@ -30,7 +30,11 @@ MAX_AMPLITUDES = 1 << 24
 
 @dataclass(frozen=True)
 class PureBipartiteState:
-    """Normalized pure state of an n x d bipartite system."""
+    """Normalized pure state of an n x d bipartite system.
+
+    Built only from finite amplitudes of squared norm within 1e-10 of 1
+    (NormError otherwise), so everything downstream may rely on that.
+    """
 
     n: int
     d: int
@@ -43,6 +47,11 @@ class PureBipartiteState:
             raise DimensionMismatchError(
                 f"amplitudes shape {amps.shape} does not match (n, d)=({self.n}, {self.d})"
             )
+        if not np.isfinite(amps).all():
+            raise NormError("state has a NaN or infinite amplitude")
+        norm2 = np.vdot(amps, amps).real
+        if abs(norm2 - 1.0) > 1e-10:
+            raise NormError(f"state has squared norm {norm2}, expected 1")
         amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
@@ -63,7 +72,13 @@ class ReducedDensityMatrix:
             raise DimensionMismatchError(
                 f"matrix shape {m.shape} does not match dim {self.dim}"
             )
-        check_density_matrices(m[None])
+        if not np.allclose(m, m.conj().T, atol=1e-12, rtol=0.0):
+            raise IndefiniteMatrixError("reduced density matrix is not Hermitian")
+        trace = np.trace(m).real
+        if abs(trace - 1.0) > 1e-10:
+            raise NormError(f"trace {trace} is not 1")
+        if not np.isfinite(m).all():
+            raise ValueError("reduced density matrix has a NaN or infinite entry")
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -96,18 +111,16 @@ def validate_state(raw, renormalize: bool = False) -> PureBipartiteState:
 
     The global norm must be within NORM_TOL of 1 unless ``renormalize`` is
     set, in which case the state is rescaled and the applied factor recorded
-    on the returned object.  NaN or infinite amplitudes, and a norm too
-    large for a float, raise NormError.
+    on the returned object.  A norm too large for a float raises NormError,
+    and so does PureBipartiteState for a NaN or infinite amplitude.
     """
     raw = np.asarray(raw, dtype=complex)
     if raw.ndim != 2 or raw.size == 0:
         raise DimensionMismatchError(f"expected a nonempty 2-d matrix, got shape {raw.shape}")
-    if not np.isfinite(raw).all():
-        raise NormError("state has a NaN or infinite amplitude")
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(raw))
-    if norm == math.inf:  # amplitudes above ~1e154: renormalizing would zero them
-        raise NormError("state norm overflows a float")
+    if norm == math.inf:  # an infinite amplitude, or ones above ~1e154 that rescaling would zero
+        raise NormError("state norm overflows a float (an amplitude is infinite or too large)")
     if norm < ZERO_NORM_TOL:
         raise ZeroStateError(f"state norm {norm} below {ZERO_NORM_TOL}")
     if abs(norm - 1.0) > NORM_TOL and not renormalize:
@@ -166,25 +179,9 @@ def spectrum(rho: ReducedDensityMatrix) -> Spectrum:
     return Spectrum(eigenvalues=eigvalsh_spectra(rho.matrix[None])[0])
 
 
-def check_density_matrices(rho: np.ndarray) -> None:
-    """ReducedDensityMatrix's checks on a (B, n, n) stack; the first failing matrix raises."""
-    h = rho.conj().swapaxes(1, 2)
-    exact = (rho == h).all(axis=(1, 2))
-    hermitian = exact if exact.all() else np.isclose(rho, h, atol=1e-12, rtol=0.0).all(axis=(1, 2))
-    traces = np.trace(rho, axis1=1, axis2=2).real
-    for ok, trace, finite in zip(hermitian, traces, np.isfinite(rho).all(axis=(1, 2))):
-        if not ok:
-            raise IndefiniteMatrixError("reduced density matrix is not Hermitian")
-        if abs(trace - 1.0) > 1e-10:
-            raise NormError(f"trace {trace} is not 1")
-        if not finite:
-            raise ValueError("reduced density matrix has a NaN or infinite entry")
-
-
 def eigvalsh_spectra(rho: np.ndarray) -> np.ndarray:
-    """spectrum's route on a (B, n, n) stack, each checked as ReducedDensityMatrix checks one.
+    """spectrum's route on a (B, n, n) stack of Grams of valid states or checked matrices.
     Eigenvalues in [-EIG_CLAMP_TOL, 0) become 0; anything lower raises IndefiniteMatrixError."""
-    check_density_matrices(rho)
     vals = np.linalg.eigvalsh(rho)
     if vals.min() < -EIG_CLAMP_TOL:
         raise IndefiniteMatrixError(f"eigenvalue {vals.min()} below -{EIG_CLAMP_TOL}")

@@ -49,6 +49,8 @@ class ESPVector:
         for k, v in enumerate(vals, start=1):
             if v < -1e-10:
                 raise ValueError(f"e_{k} = {v} is negative")
+            if v <= 1e-10:  # within 1e-10 of every bound, which is positive
+                continue
             bound = math.comb(self.n, k) / self.n**k
             if v > bound + 1e-10:
                 raise ValueError(f"e_{k} = {v} violates the Maclaurin bound {bound}")
@@ -109,12 +111,15 @@ def esp_from_spectrum(spec: Spectrum) -> ESPVector:
 
     Updates run over k in descending order so each eigenvalue is absorbed
     in place; every addition is of nonnegative terms, so there is no
-    cancellation.
+    cancellation.  The j-th eigenvalue reaches e_j..e_1 only, and the loop
+    stops at the first zero: the skipped updates would all add +0.0.
     """
     n = len(spec)
     e = [1.0] + [0.0] * n  # e[0] = e_0
-    for lam in spec.eigenvalues:  # already descending
-        for k in range(n, 0, -1):
+    for j, lam in enumerate(spec.eigenvalues, start=1):  # already descending
+        if lam == 0.0:
+            break
+        for k in range(j, 0, -1):
             e[k] += lam * e[k - 1]
     return ESPVector(n=n, values=tuple(e[1:]))
 

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import espent.quench
 from espent import (
     AnalysisOptions,
     InvalidCutError,
@@ -19,7 +18,7 @@ from espent import (
     quench_trajectory,
     validate_state,
 )
-from espent.quench import _evolve_in_sectors, hamiltonian_triples, initial_product_state
+from espent.quench import MAX_LENGTH, _evolve_in_sectors, hamiltonian_triples, initial_product_state
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -46,6 +45,8 @@ def kron_hamiltonian(cfg):
 
 # Non-default couplings: Delta < 0, h = 0, J < 0
 COUPLINGS = [(0.7, 1.3, -0.4), (-1.1, 0.0, 2.5)]
+# Plus h = 0 alone and Delta = 0, whose zero values the triples drop
+EDGE_COUPLINGS = COUPLINGS + [(1.0, 0.0, 1.0), (0.7, 1.3, 0.0)]
 
 
 def test_config_validation():
@@ -79,9 +80,7 @@ def test_hamiltonian_matches_kron_reference(length, model, coupling, field_stren
 
 @pytest.mark.parametrize("length", range(2, 11))
 @pytest.mark.parametrize("model", ["tfi", "xxz"])
-@pytest.mark.parametrize(
-    "coupling, field_strength, anisotropy", COUPLINGS + [(1.0, 0.0, 1.0), (0.7, 1.3, 0.0)]
-)
+@pytest.mark.parametrize("coupling, field_strength, anisotropy", EDGE_COUPLINGS)
 def test_triples_are_the_nonzero_entries(length, model, coupling, field_strength, anisotropy):
     # Zero values are dropped as np.nonzero drops them (with h = 0 or
     # Delta = 0 they would change the reached set), and each (row, col)
@@ -280,35 +279,53 @@ def _bond_0_zz(h, L):
     h[idx, idx] += 0.3 * (1.0 - 2.0 * (((idx >> (L - 1)) ^ (idx >> (L - 2))) & 1))
 
 
-def _perturbed_triples(perturb):
+def _perturbed_triples(perturb, config):
     """hamiltonian_triples with perturb applied to the dense matrix they fill."""
-
-    def triples(config):
-        h = np.zeros((2**config.length, 2**config.length))
-        rows, cols, vals = hamiltonian_triples(config)
-        h[rows, cols] = vals
-        perturb(h, config.length)
-        rows, cols = np.nonzero(h)
-        return rows, cols, h[rows, cols]
-
-    return triples
+    h = build_hamiltonian(config)
+    perturb(h, config.length)
+    rows, cols = np.nonzero(h)
+    return rows, cols, h[rows, cols]
 
 
+def _assert_symmetric(length, rows, cols, vals):
+    """F and R map H's triples onto themselves: g H g = H exactly, for g a permutation."""
+    dim = 2**length
+    idx = np.arange(dim)
+    refl = sum(((idx >> i) & 1) << (length - 1 - i) for i in range(length))
+    # Sorting key + i value lists each (row, col, value) once, by row then col
+    keys = np.sort(rows * dim + cols + 1j * vals)
+    for name, g in (("spin flip", idx ^ (dim - 1)), ("reflection", refl)):
+        assert np.array_equal(np.sort(g[rows] * dim + g[cols] + 1j * vals), keys), name
+
+
+@pytest.mark.parametrize("length", range(2, MAX_LENGTH + 1))
+@pytest.mark.parametrize("model", ["tfi", "xxz"])
+@pytest.mark.parametrize("coupling, field_strength, anisotropy", [(1.0, 1.0, 1.0)] + EDGE_COUPLINGS)
+def test_triples_commute_with_spin_flip_and_reflection(
+    length, model, coupling, field_strength, anisotropy
+):
+    # The sector evolution relies on both symmetries and does not re-check them
+    cfg = QuenchConfig(
+        model=model, length=length, cut=1, tmax=1.0, steps=1, coupling=coupling,
+        field_strength=field_strength, anisotropy=anisotropy,
+    )
+    _assert_symmetric(length, *hamiltonian_triples(cfg))
+
+
+# The proof above must refuse bit rules that break a symmetry
 @pytest.mark.parametrize("perturb", [_z_field_on_site_0, _asymmetric_flip_hop])
 @pytest.mark.parametrize("model", ["tfi", "xxz"])
-def test_non_commuting_hamiltonian_raises(monkeypatch, perturb, model):
-    monkeypatch.setattr(espent.quench, "hamiltonian_triples", _perturbed_triples(perturb))
+def test_non_commuting_hamiltonian_raises(perturb, model):
     cfg = QuenchConfig(model=model, length=4, cut=2, tmax=1.0, steps=2)
-    with pytest.raises(RuntimeError, match="spin flip"):
-        quench_trajectory(cfg)
+    with pytest.raises(AssertionError, match="spin flip"):
+        _assert_symmetric(4, *_perturbed_triples(perturb, cfg))
 
 
 @pytest.mark.parametrize("model", ["tfi", "xxz"])
-def test_reflection_breaking_hamiltonian_raises(monkeypatch, model):
-    monkeypatch.setattr(espent.quench, "hamiltonian_triples", _perturbed_triples(_bond_0_zz))
+def test_reflection_breaking_hamiltonian_raises(model):
     cfg = QuenchConfig(model=model, length=4, cut=2, tmax=1.0, steps=2)
-    with pytest.raises(RuntimeError, match="reflection"):
-        quench_trajectory(cfg)
+    with pytest.raises(AssertionError, match="reflection"):
+        _assert_symmetric(4, *_perturbed_triples(_bond_0_zz, cfg))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -7,7 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from espent import AnalysisOptions, analyze, analyze_batch, validate_state
+import espent.report
+from espent import (
+    AnalysisOptions,
+    Spectrum,
+    analyze,
+    analyze_batch,
+    esp_from_spectrum,
+    random_haar_state,
+    validate_state,
+)
+from espent.states import eigvalsh_spectra
 
 KINDS = ("haar", "product", "rank_deficient", "near_pure")
 
@@ -49,3 +59,27 @@ def test_batch_refuses_states_of_different_shapes():
     states = [validate_state(np.eye(2) / np.sqrt(2.0)), validate_state(np.ones((2, 3)) / 6**0.5)]
     with pytest.raises(ValueError):
         analyze_batch(states)
+
+
+@pytest.mark.parametrize("n, d", [(9, 3), (3, 9), (64, 2)])
+def test_eigvalsh_runs_on_the_smaller_side(monkeypatch, n, d):
+    shapes, spectra = [], []
+
+    def spy(rho):
+        shapes.append(rho.shape)
+        spectra.append(eigvalsh_spectra(rho))
+        return spectra[-1]
+
+    monkeypatch.setattr(espent.report, "eigvalsh_spectra", spy)
+    states = [random_haar_state(n, d, seed) for seed in range(4)]
+    reports = analyze_batch(states)
+    assert shapes == [(4, min(n, d), min(n, d))]
+    for report, lam in zip(reports, spectra[0].tolist()):
+        lam = lam + [0.0] * (n - len(lam))  # the zeros analyze_batch pads with
+        # The unpruned recurrence: every eigenvalue reaches every e_k
+        e = [1.0] + [0.0] * n
+        for value in lam:
+            for k in range(n, 0, -1):
+                e[k] += value * e[k - 1]
+        assert esp_from_spectrum(Spectrum(eigenvalues=lam)).values == tuple(e[1:])
+        assert report.residuals["esp_routes_max"] <= 1e-14

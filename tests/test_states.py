@@ -5,6 +5,7 @@ from espent import (
     DimensionMismatchError,
     IndefiniteMatrixError,
     NormError,
+    PureBipartiteState,
     ZeroStateError,
     gram_matrix,
     projected_states,
@@ -180,8 +181,7 @@ NAN, INF = float("nan"), float("inf")
     ],
 )
 def test_hermitian_check_verdicts(matrix, error):
-    # The exact-equality fast path must give the verdict and error type of
-    # the tolerance test alone: np.allclose(m, m^dagger, atol=1e-12, rtol=0).
+    # Hermitian means np.allclose(m, m^dagger, atol=1e-12, rtol=0).
     # Symmetric infinities pass it and the trace; the finiteness check that
     # follows refuses them.
     m = np.array(matrix, dtype=complex)
@@ -193,17 +193,31 @@ def test_hermitian_check_verdicts(matrix, error):
             ReducedDensityMatrix(dim=2, matrix=m)
 
 
-def test_density_matrix_stack_raises_the_first_failing_row():
-    # eigvalsh_spectra applies ReducedDensityMatrix's checks to each matrix
-    good, skew = np.eye(2, dtype=complex) / 2.0, np.array([[0.5, 1.0], [0.0, 0.5]])
-    with pytest.raises(NormError):
-        eigvalsh_spectra(np.array([good, 2.0 * good, skew]))
-    with pytest.raises(IndefiniteMatrixError, match="Hermitian"):
-        eigvalsh_spectra(np.array([good, skew, 2.0 * good]))
-    with pytest.raises(ValueError, match="NaN or infinite"):
-        eigvalsh_spectra(np.array([good, [[0.5, -INF], [-INF, 0.5]]]))
+def test_eigvalsh_spectra_clamps_and_normalizes():
+    good = np.eye(2, dtype=complex) / 2.0
     with pytest.raises(IndefiniteMatrixError, match="eigenvalue"):
         eigvalsh_spectra(np.array([good, [[0.5, 0.6], [0.6, 0.5]]]))
     assert eigvalsh_spectra(np.array([good, good])).tolist() == [[0.5, 0.5]] * 2
-    # One exact and one Hermitian only within 1e-12: both pass
-    eigvalsh_spectra(np.array([good, [[0.5, 1e-13], [0.0, 0.5]]]))
+    # Eigenvalues 1 + 1e-12 and -1e-12: the negative one is clamped to 0
+    near = 0.5 + 1e-12
+    assert eigvalsh_spectra(np.array([[[0.5, near], [near, 0.5]]])).tolist() == [[1.0, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "amplitudes",
+    [
+        [[NAN, 0.0], [0.0, 1.0]],
+        [[INF, 0.0], [0.0, 0.0]],
+        [[0.0, -INF], [0.0, 0.0]],
+        [[complex(0.0, INF), 0.0], [0.0, 0.0]],
+        np.eye(2),
+        np.eye(2) / np.sqrt(2.0) * (1.0 + 1e-10),
+        [[1e200, 0.0], [0.0, 0.0]],
+    ],
+)
+def test_state_type_refuses_non_finite_or_unnormalized_amplitudes(amplitudes):
+    # analyze and fermionic_encoding_probability never see such a state
+    with pytest.raises(NormError):
+        PureBipartiteState(n=2, d=2, amplitudes=np.array(amplitudes, dtype=complex))
+    state = PureBipartiteState(n=2, d=2, amplitudes=np.eye(2) / np.sqrt(2.0) * (1.0 + 1e-12))
+    assert state.renorm_factor == 1.0
