@@ -24,8 +24,10 @@ partial sums for small depths.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -160,11 +162,15 @@ def purities_from_esp(esp: ESPVector, K: int) -> PuritySequence:
 def purities_from_spectrum(spec: Spectrum, K: int) -> PuritySequence:
     """Tr(rho^k) = sum_j lambda_j^k for k = 1..K, each sum exactly rounded.
 
-    The route analyze uses: K n powers, where the partition formula's cost
-    grows exponentially in K.  K < 1 gives no purity: OrderOutOfRangeError.
+    The route analyze uses: K powers of each nonzero eigenvalue, where the
+    partition formula's cost grows exponentially in K.  The trailing exact
+    zeros (n - d of them when n > d) would each add +0.0, so they are
+    skipped.  K < 1 gives no purity: OrderOutOfRangeError.
     """
+    vals = spec.eigenvalues
+    head = vals[: bisect.bisect_left(vals, 0.0, key=operator.neg)]
     return PuritySequence(
-        values=tuple(math.fsum(lam**k for lam in spec.eigenvalues) for k in range(1, K + 1))
+        values=tuple(math.fsum(lam**k for lam in head) for k in range(1, K + 1))
     )
 
 

@@ -13,9 +13,12 @@ amplitude of b+_(p,a) b+_(q,b); for p == q the array is antisymmetric in
 (a, b) and the state is (1/2) sum_ab X[a, b] b+_(p,a) b+_(p,b), so double
 occupation of a mode is zero by construction.
 
-fermionic_encoding_probability reads the bunching weight off tiles of
-(i1, i2), which the level-preserving transform never mixes, in two reused
-buffers of about 256 KiB instead of whole (n d)^2 blocks.
+Behind the splitter the same-port blocks are +-(1/2) Y, with
+Y[a, b, i1, i2] = psi[a, i1] psi[b, i2] - psi[b, i1] psi[a, i2] the 2x2
+minors of psi (the coordinates of its exterior square).  Y is antisymmetric
+in (a, b) and in (i1, i2), so fermionic_encoding_probability evaluates only
+the distinct minors, a < b and i1 < i2, and the bunching weight is the sum
+of their |Y|^2 (Cauchy-Binet: this is e_2).  It forms no port block.
 """
 
 from __future__ import annotations
@@ -33,11 +36,11 @@ IN_PORTS = (1, 2)
 OUT_PORTS = (3, 4)
 
 # Largest n*d simulated.  A whole port block holds (n*d)^2 amplitudes (256 MiB
-# at 64x64); fermionic_encoding_probability holds only two tiles of it.
+# at 64x64); fermionic_encoding_probability holds a few chunks of d columns.
 MAX_STATE_SIZE = 64 * 64
 
-# Amplitudes in each of the two tile buffers of fermionic_encoding_probability
-# (256 KiB); a tile spans at least one (i1, i2) pair.
+# Amplitudes per chunk of fermionic_encoding_probability (256 KiB): a chunk
+# holds the d environment columns of max(1, _TILE // d) level pairs.
 _TILE = 1 << 14
 
 # 50:50 convention: a+_(1) -> (b+_(3) - b+_(4)) / sqrt(2),
@@ -139,30 +142,31 @@ def bunching_probability(js_out: TwoFermionJointState) -> float:
 
 
 def fermionic_encoding_probability(state: PureBipartiteState) -> float:
-    """Full protocol: build two copies, interfere, read the bunching weight.
+    """Full protocol: the bunching weight of two copies behind the splitter.
 
-    The same-port output blocks are (3, 3) = (1/2)(X - X^T) and (4, 4) =
-    -(1/2)(X - X^T), X the (1, 2) input block (pinned by
-    tests/test_fermions.py::test_same_port_blocks_are_half_antisymmetric_part),
-    so the weight is ||X - X^T||^2 / 4.  It is summed one (i1, i2) tile at a
-    time in two buffers allocated once per call; ragged edge tiles use slices.
+    The same-port output blocks are (3, 3) = (1/2) Y and (4, 4) = -(1/2) Y,
+    Y the 2x2 minors of psi (pinned by tests/test_fermions.py::
+    test_same_port_blocks_are_half_minors).  Y is antisymmetric in the level
+    pair and in the environment pair, so the weight ||Y||^2 / 4 is the sum
+    of |Y[a, b, i1, i2]|^2 over a < b and i1 < i2, each distinct minor
+    evaluated once.  Level pairs go in chunks of max(1, _TILE // d);
+    for each i1 one row of minors i2 > i1 is formed and summed.
     """
     _check_size(state)
     psi = state.amplitudes
     n, d = psi.shape
-    t2 = min(d, max(1, _TILE // (n * n)))
-    t1 = min(d, max(1, _TILE // (n * n * t2)))
-    x = np.empty((n, n, t1, t2), dtype=complex)
-    y = np.empty_like(x)
-    total = 0.0
-    for s1 in range(0, d, t1):
-        for s2 in range(0, d, t2):
-            tile = (..., slice(min(t1, d - s1)), slice(min(t2, d - s2)))
-            col1, col2 = psi[:, None, s1 : s1 + t1, None], psi[None, :, None, s2 : s2 + t2]
-            np.multiply(col1, col2, out=x[tile])
-            np.subtract(x[tile], x[tile].swapaxes(0, 1), out=y[tile])
-            total += np.vdot(y[tile], y[tile]).real
-    return float(0.25 * total)
+    rows_a, rows_b = np.triu_indices(n, 1)
+    step = max(1, _TILE // d)
+    partials = []
+    for s in range(0, len(rows_a), step):
+        # (d, c) columns: p[i, k] = psi[a_k, i] and q[i, k] = psi[b_k, i]
+        p = psi[rows_a[s : s + step]].T.copy()
+        q = psi[rows_b[s : s + step]].T.copy()
+        for i in range(d - 1):
+            y = p[i] * q[i + 1 :]
+            y -= q[i] * p[i + 1 :]
+            partials.append(np.vdot(y, y).real)
+    return math.fsum(partials)
 
 
 def _check_size(state: PureBipartiteState) -> None:

@@ -190,6 +190,24 @@ def test_purities_from_spectrum():
         purities_from_spectrum(bell, 0)
 
 
+@pytest.mark.parametrize("pad", [1, 5, 2046])
+def test_purities_of_zero_padded_spectra_are_bitwise_unpadded(pad):
+    # Trailing exact zeros (n - d of them for n > d) add +0.0 to every power
+    # sum, so skipping them changes no bit: the literal sum over the padded
+    # spectrum, the unpadded spectrum and the padded one all agree exactly.
+    spectra = [random_spectrum(m, seed) for m, seed in [(1, 0), (2, 1), (6, 2), (9, 3)]]
+    spectra.append(Spectrum(eigenvalues=(1.0 - 1e-200, 1e-200)))  # lambda^2 underflows to 0
+    spectra.append(schmidt_spectrum(random_haar_state(2, 7, seed=4)))
+    for spec in spectra:
+        for zero in (0.0, -0.0):
+            padded = Spectrum(eigenvalues=spec.eigenvalues + (zero,) * pad)
+            literal = [
+                math.fsum(lam**k for lam in padded.eigenvalues).hex() for k in range(1, 13)
+            ]
+            for s in (padded, spec):
+                assert [p.hex() for p in purities_from_spectrum(s, 12).values] == literal
+
+
 def test_purity_order_errors():
     esp = esp_of((0.5, 0.5))
     with pytest.raises(OrderOutOfRangeError):

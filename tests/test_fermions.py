@@ -162,9 +162,12 @@ def _whole_block_probability(s):
     return bunching_probability(beamsplitter_transform(build_two_copy_state(s)))
 
 
-# Tile sizes of 7 and 50 amplitudes split these sizes into single tiles,
-# ragged edge tiles and one (i1, i2) pair per tile; at 16 and 32 a whole
-# block holds 2^16 to 2^20 amplitudes, where a plain sum loses digits.
+# fermionic_encoding_probability takes max(1, _TILE // d) level pairs per
+# chunk.  A budget of 7 or 50 amplitudes gives one pair per chunk for d > 7
+# or d > 25 and ragged last chunks below; _TILE holds all C(n, 2) pairs in
+# one chunk at these sizes; tile 1 (the property test) always gives one pair.
+# At 16 and 32 a whole block holds 2^16 to 2^20 amplitudes, where a plain
+# sum loses digits.
 @pytest.mark.parametrize("tile", [7, 50, espent.fermions._TILE])
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 9, 16, 32])
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 9, 16, 32])
@@ -220,6 +223,44 @@ def test_same_port_blocks_are_half_antisymmetric_part(n, d):
     out = beamsplitter_transform(js)
     np.testing.assert_allclose(out.terms[(3, 3)], half, rtol=0, atol=1e-15)
     np.testing.assert_allclose(out.terms[(4, 4)], -half, rtol=0, atol=1e-15)
+
+
+def _minors(psi):
+    """Y[a, b, i1, i2] = psi[a, i1] psi[b, i2] - psi[b, i1] psi[a, i2]."""
+    n, d = psi.shape
+    y = np.zeros((n, n, d, d), dtype=complex)
+    for a in range(n):
+        for b in range(n):
+            for i1 in range(d):
+                for i2 in range(d):
+                    y[a, b, i1, i2] = psi[a, i1] * psi[b, i2] - psi[b, i1] * psi[a, i2]
+    return y
+
+
+@pytest.mark.parametrize("n, d", [(1, 3), (3, 1), (2, 2), (3, 4), (5, 3), (6, 6)])
+def test_same_port_blocks_are_half_minors(n, d):
+    # The same-port blocks are +-1/2 the 2x2 minors of psi, antisymmetric in
+    # (a, b) and in (i1, i2): the four copies of each distinct minor a < b,
+    # i1 < i2 are what fermionic_encoding_probability counts once.
+    s = random_haar_state(n, d, seed=10 * n + d + 700)
+    y = _minors(s.amplitudes)
+    out = beamsplitter_transform(build_two_copy_state(s))
+    for key, sign in [((3, 3), 1.0), ((4, 4), -1.0)]:
+        x = out.terms[key]
+        np.testing.assert_allclose(x, sign * 0.5 * y, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(x, -x.swapaxes(2, 3), rtol=0, atol=1e-15)
+    a, b = np.triu_indices(n, 1)
+    i1, i2 = np.triu_indices(d, 1)
+    weight = sum(abs(y[p, q, j, k]) ** 2 for p, q in zip(a, b) for j, k in zip(i1, i2))
+    assert fermionic_encoding_probability(s) == pytest.approx(weight, rel=1e-14, abs=0.0)
+    assert bunching_probability(out) == pytest.approx(weight, rel=1e-14, abs=1e-30)
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (1, 5), (1, 64), (5, 1), (64, 1), (4096, 1)])
+def test_single_level_or_environment_bunching_is_exactly_zero(n, d):
+    # With one level or one environment index there is no 2x2 minor to form.
+    s = random_haar_state(n, d, seed=n + d)
+    assert fermionic_encoding_probability(s) == 0.0
 
 
 @pytest.mark.parametrize(
@@ -312,14 +353,19 @@ def test_whole_block_bunching_is_unbiased_against_mpmath():
     # Rounded (1/sqrt 2)^2 splitter factors read every one of these e_2 low,
     # by 2.7e-16 to 5.7e-16 relative; with an exact 0.5 only rounding noise
     # of either sign is left.
-    errors = []
+    # The production route sums each distinct minor once and must be as
+    # unbiased, and within a few ulp of each state's 40-digit e_2.
+    errors, production = [], []
     for n in (16, 32):
         for seed in range(1, 9):
             s = random_haar_state(n, n, seed)
             ref = _e2_mpmath(s.amplitudes)
             errors.append(float((_whole_block_probability(s) - ref) / ref))
-    assert min(errors) < 0.0 < max(errors)
-    assert abs(np.mean(errors)) <= 1e-16
+            production.append(float((fermionic_encoding_probability(s) - ref) / ref))
+    for errs in (errors, production):
+        assert min(errs) < 0.0 < max(errs)
+        assert abs(np.mean(errs)) <= 1e-16
+    assert max(map(abs, production)) <= 3e-16
 
 def test_bunching_probability_range():
     for seed in range(10):
