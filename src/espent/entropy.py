@@ -77,14 +77,10 @@ class PuritySequence:
 
 @dataclass(frozen=True)
 class SeriesResult:
-    """S_r from the closed form.
-
-    terms_used is 1, the convention of every closed form; converged means
-    the roots are certified and the series has radius max |1 - nu| < 1.
-    """
+    """S_r from the closed form; converged means the roots of q_r are
+    certified and the series has radius max |1 - nu| < 1."""
 
     value: float
-    terms_used: int
     converged: bool
 
 
@@ -240,7 +236,7 @@ def truncated_entropies(esp: ESPVector, orders: range | list[int]) -> list[Serie
     radius = np.max(np.abs(1.0 - nu), axis=1, where=live, initial=0.0)
     w = np.where(live, nu, 1.0)  # 1 ln 1 = 0: the dead roots add nothing
     return [
-        SeriesResult(value=0.0 - math.fsum(t), terms_used=1, converged=bool(c and rad < 1.0))
+        SeriesResult(value=0.0 - math.fsum(t), converged=bool(c and rad < 1.0))
         for t, c, rad in zip((w * np.log(w)).real.tolist(), certified, radius)
     ]
 
@@ -258,7 +254,7 @@ def s_r_truncated(esp: ESPVector, r: int) -> SeriesResult:
     """
     if r == 1:
         # -e_1 ln e_1 = 0: e_1 = Tr rho = 1, held to 1e-10 by ESPVector.
-        return SeriesResult(value=0.0, terms_used=1, converged=True)
+        return SeriesResult(value=0.0, converged=True)
     return truncated_entropies(esp, [r])[0]
 
 

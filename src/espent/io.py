@@ -92,10 +92,8 @@ def _parse_state_csv(text: str, renormalize: bool) -> PureBipartiteState:
         raise DimensionMismatchError(
             f"CSV rows must hold re,im pairs; got odd width {width}"
         )
-    raw = np.array(
-        [[complex(row[2 * i], row[2 * i + 1]) for i in range(width // 2)] for row in parsed]
-    )
-    return validate_state(raw, renormalize=renormalize)
+    # Each row's re, im pairs are the two float64 halves of a complex128.
+    return validate_state(np.array(parsed).view(complex), renormalize=renormalize)
 
 
 def _check_size(amplitudes: int) -> None:

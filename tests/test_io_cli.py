@@ -249,7 +249,7 @@ def test_round_trip_bit_identical(tmp_path):
 def test_analyze_report_fields():
     rep = analyze(random_bell(), options=None)
     d = rep.to_dict()
-    assert d["schema_version"] == 3
+    assert d["schema_version"] == 4
     assert d["entropies"]["linear"] == pytest.approx(0.5, abs=1e-10)
     assert d["residuals"]["esp_routes_max"] < 1e-8
     assert d["entropies"]["s_r"]["2"] == d["entropies"]["von_neumann_series"]
@@ -300,7 +300,7 @@ def test_analyze_s_n_is_read_off_the_spectrum(n):
         assert rep.entropies["von_neumann_series"].hex() == exact
         assert rep.entropies["von_neumann_direct"].hex() == exact
         for entry in (rep.convergence["s_r"][str(n)], rep.convergence["von_neumann_series"]):
-            assert entry == {"converged": True, "terms_used": 1}
+            assert entry == {"converged": True}
         assert "von_neumann_series_vs_direct" not in rep.residuals
 
 
@@ -309,7 +309,8 @@ def test_analyze_report_bunching():
 
     rep = analyze(random_bell(), AnalysisOptions(simulate_bunching=True))
     assert rep.bunching["p_bunch"] == pytest.approx(0.25, abs=1e-10)
-    assert rep.bunching["e2_residual"] < 1e-10
+    assert list(rep.bunching) == ["p_bunch"]
+    assert rep.residuals["bunching_vs_e2"] < 1e-10
 
 
 def test_analyze_product_state_all_zero():
@@ -407,6 +408,29 @@ def test_cli_order_options_below_one(tmp_path, capsys, caplog, command, message)
         command = ["analyze", str(bell_json(tmp_path)), *command[1:]]
     assert main(command) == EXIT_PARSE
     assert [r.getMessage() for r in caplog.records] == [message]
+    assert capsys.readouterr().out == ""
+
+
+def test_k_max_bound():
+    from espent.report import MAX_K
+
+    state = random_haar_state(8, 8, 1)
+    assert len(analyze(state, AnalysisOptions(k_max=MAX_K)).purities) == MAX_K
+    with pytest.raises(TooLargeError, match=f"k_max={MAX_K + 1} exceeds {MAX_K}"):
+        AnalysisOptions(k_max=MAX_K + 1)
+
+
+def test_cli_k_max_bound(tmp_path, capsys, caplog):
+    from espent.report import MAX_K
+
+    path = tmp_path / "state.json"
+    write_state_file(random_haar_state(8, 8, 1), path)
+    assert main(["analyze", str(path), "--k-max", str(MAX_K)]) == EXIT_OK
+    assert len(json.loads(capsys.readouterr().out)["purities"]) == MAX_K
+    caplog.clear()
+    # Refused before any purity is taken: 10^9 of them would run for hours.
+    assert main(["analyze", str(path), "--k-max", "1000000000"]) == EXIT_PARSE
+    assert [r.getMessage() for r in caplog.records] == [f"k_max=1000000000 exceeds {MAX_K}"]
     assert capsys.readouterr().out == ""
 
 

@@ -112,11 +112,12 @@ def test_esp_from_charpoly_examples():
 
 
 def test_esp_routes_agree():
-    for seed in range(10):
-        rho = reduced_density_matrix(random_haar_state(6, 6, seed))
-        a = esp_from_spectrum(spectrum(rho)).values
-        b = esp_from_charpoly(rho).values
-        np.testing.assert_allclose(a, b, atol=1e-8)
+    for n, d in ((6, 6), (16, 16), (64, 64), (64, 2)):
+        for seed in range(10):
+            rho = reduced_density_matrix(random_haar_state(n, d, seed))
+            a = esp_from_spectrum(spectrum(rho)).values
+            b = esp_from_charpoly(rho).values
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-14)
 
 
 def test_brute_force_matches_esp():
