@@ -51,19 +51,20 @@ class PuritySequence:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
+        vals = tuple(map(float, self.values))
         if not vals:
             raise OrderOutOfRangeError("need at least one purity")
         if not all(map(math.isfinite, vals)):
             raise ValueError("purities hold a NaN or infinite value")
         if abs(vals[0] - 1.0) > 1e-10:
             raise ValueError(f"p_1 = {vals[0]} is not 1")
-        for k, v in enumerate(vals, start=1):
-            if not -1e-9 <= v <= 1.0 + 1e-9:
-                raise ValueError(f"p_{k} = {v} outside [0, 1]")
-        for k in range(1, len(vals) - 1):
-            if vals[k + 1] > vals[k] + 1e-9:
-                raise ValueError(f"purities not monotone at k={k + 1}")
+        # Whole-tuple checks first; the failing index is looked up only on failure.
+        if min(vals) < -1e-9 or max(vals) > 1.0 + 1e-9:
+            k, v = next((k, v) for k, v in enumerate(vals, 1) if not -1e-9 <= v <= 1.0 + 1e-9)
+            raise ValueError(f"p_{k} = {v} outside [0, 1]")
+        if any(map(operator.gt, vals[2:], map((1e-9).__add__, vals[1:-1]))):
+            k = next(k for k in range(1, len(vals) - 1) if vals[k + 1] > vals[k] + 1e-9)
+            raise ValueError(f"purities not monotone at k={k + 1}")
         object.__setattr__(self, "values", vals)
 
     def __getitem__(self, k: int) -> float:
@@ -179,13 +180,14 @@ def purities_recurrence(esp: ESPVector, K: int) -> PuritySequence:
     if K < 1:
         raise OrderOutOfRangeError(f"K={K} must be >= 1")
     n = esp.n
+    # signed[i - 1] = (-1)^(i-1) e_i, exactly; esp[i] raises for a stored e_i not computed
+    signed = [esp[i] if i % 2 else -esp[i] for i in range(1, min(K, n) + 1)]
     s = [float(n)]  # s_0 = n
     for m in range(1, K + 1):
-        acc = math.fsum(
-            (-1) ** (i - 1) * esp[i] * s[m - i] for i in range(1, min(m, n + 1))
-        )
+        top = min(m - 1, n)  # terms i = 1..top: signed[i - 1] s_{m-i}
+        acc = math.fsum(map(operator.mul, signed[:top], s[m - 1 : m - 1 - top : -1]))
         if m <= n:
-            acc += (-1) ** (m - 1) * m * esp[m]
+            acc += m * signed[m - 1]
         s.append(acc)
     return PuritySequence(values=tuple(s[1:]))
 

@@ -150,9 +150,18 @@ def _evolve_in_sectors(rows, cols, vals, psi0: np.ndarray, times: np.ndarray) ->
         phases = np.exp(-1j * np.outer(evals, times)) * (evecs.T @ a)[:, None]
         # Two real products: a complex right factor would copy evecs to complex
         a_t = c[:, None] * (evecs @ phases.real + 1j * (evecs @ phases.imag))
-        # kets[g r] += chi(g) c_r a_r(t); add.at sums the repeats a stabilizer makes
-        np.add.at(kets, gr.ravel(), (chi[:, :, None] * a_t).reshape(-1, times.size))
+        _scatter(kets, gr, chi[:, 0], a_t)
     return kets
+
+
+def _scatter(kets: np.ndarray, gr: np.ndarray, chi: np.ndarray, a_t: np.ndarray) -> None:
+    """kets[g r] += chi(g) a_t[r] for every g in group order, row g of gr holding g r.
+
+    One fancy-index add per g: g maps the representatives one-to-one, so no
+    index repeats within an add, and the repeats a stabilizer makes (g r = r)
+    fall in different adds."""
+    for x, rows_g in zip(chi, gr):
+        kets[rows_g] += x * a_t
 
 
 def quench_trajectory(

@@ -9,6 +9,7 @@ symmetric-polynomial measures) is built on top of these values.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,13 +73,13 @@ class ReducedDensityMatrix:
             raise DimensionMismatchError(
                 f"matrix shape {m.shape} does not match dim {self.dim}"
             )
+        if not np.isfinite(m).all():
+            raise ValueError("reduced density matrix has a NaN or infinite entry")
         if not np.allclose(m, m.conj().T, atol=1e-12, rtol=0.0):
             raise IndefiniteMatrixError("reduced density matrix is not Hermitian")
         trace = np.trace(m).real
         if abs(trace - 1.0) > 1e-10:
             raise NormError(f"trace {trace} is not 1")
-        if not np.isfinite(m).all():
-            raise ValueError("reduced density matrix has a NaN or infinite entry")
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -91,14 +92,14 @@ class Spectrum:
     eigenvalues: tuple[float, ...] = field()
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.eigenvalues)
+        vals = tuple(map(float, self.eigenvalues))
         if not all(map(math.isfinite, vals)):
             raise ValueError("spectrum has a NaN or infinite entry")
-        if any(v < 0.0 for v in vals):
+        if min(vals, default=0.0) < 0.0:
             raise IndefiniteMatrixError("spectrum has a negative entry")
         if abs(sum(vals) - 1.0) > 1e-10:
             raise NormError(f"spectrum sums to {sum(vals)}, expected 1")
-        if any(vals[i] < vals[i + 1] for i in range(len(vals) - 1)):
+        if any(map(operator.lt, vals, vals[1:])):
             raise ValueError("spectrum must be sorted non-increasing")
         object.__setattr__(self, "eigenvalues", vals)
 

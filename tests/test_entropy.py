@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from espent import (
     AnalysisOptions,
     ESPVector,
+    IndefiniteMatrixError,
     InvalidOrderError,
+    NormError,
     OrderOutOfRangeError,
     PuritySequence,
     SeriesResult,
@@ -214,6 +216,71 @@ def test_purity_order_errors():
         purities_from_esp(esp, 0)
     with pytest.raises(OrderOutOfRangeError):
         purities_recurrence(esp, 0)
+
+
+def _recurrence_literal(esp, K):
+    """Newton's recurrence as written, one (-1)^(i-1) power per term."""
+    n = esp.n
+    s = [float(n)]
+    for m in range(1, K + 1):
+        acc = math.fsum((-1) ** (i - 1) * esp[i] * s[m - i] for i in range(1, min(m, n + 1)))
+        if m <= n:
+            acc += (-1) ** (m - 1) * m * esp[m]
+        s.append(acc)
+    return s[1:]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_purities_recurrence_is_bitwise_the_literal_recurrence(n):
+    # Full-rank and rank-deficient Haar states (exact zero ESPs), every K up to 3n
+    for d, seed in [(n, 1), (n, 2), (max(1, n // 2), 3)]:
+        esp = esp_from_spectrum(schmidt_spectrum(random_haar_state(n, d, seed)))
+        literal = [v.hex() for v in _recurrence_literal(esp, 3 * n)]
+        for K in range(1, 3 * n + 1):
+            assert [v.hex() for v in purities_recurrence(esp, K).values] == literal[:K]
+
+
+def test_purities_recurrence_needs_every_stored_esp_it_reads():
+    esp = ESPVector(n=4, values=(1.0, 0.25))
+    assert purities_recurrence(esp, 2).values == pytest.approx((1.0, 0.5))
+    for K in (3, 4, 9):
+        with pytest.raises(OrderOutOfRangeError, match=r"^e_3 not computed \(have 2\)$"):
+            purities_recurrence(esp, K)
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ((1.0, 0.5, 1.5), "p_3 = 1.5 outside [0, 1]"),
+        ((1.0, -0.2, 0.1), "p_2 = -0.2 outside [0, 1]"),
+        ((1.0, 0.5, -0.1, 2.0), "p_3 = -0.1 outside [0, 1]"),
+        ((1.0, 0.3, 0.5), "purities not monotone at k=2"),
+        ((1.0, 0.5, 0.4, 0.45, 0.5), "purities not monotone at k=3"),
+        ((1.0, 0.5, 0.5 + 2e-9), "purities not monotone at k=2"),
+    ],
+)
+def test_purity_sequence_names_the_first_failing_index(values, message):
+    with pytest.raises(ValueError) as info:
+        PuritySequence(values=values)
+    assert str(info.value) == message
+    PuritySequence(values=(1.0, 0.5, 0.5 + 1e-9, -1e-9))  # within the tolerances
+
+
+@pytest.mark.parametrize(
+    "values, error, message",
+    [
+        ((0.6, 0.5, -0.1), IndefiniteMatrixError, "spectrum has a negative entry"),
+        ((-0.0, 1.0, 0.0), ValueError, "spectrum must be sorted non-increasing"),
+        ((0.3, 0.7), ValueError, "spectrum must be sorted non-increasing"),
+        ((0.5, 0.4), NormError, "spectrum sums to 0.9, expected 1"),
+        ((), NormError, "spectrum sums to 0, expected 1"),
+    ],
+)
+def test_spectrum_checks_keep_their_errors(values, error, message):
+    with pytest.raises(error) as info:
+        Spectrum(eigenvalues=values)
+    assert type(info.value) is error and str(info.value) == message
+    assert Spectrum(eigenvalues=(0.5, 0.5, 0.0, -0.0)).eigenvalues == (0.5, 0.5, 0.0, -0.0)
 
 
 def test_partitions_are_the_distinct_partitions_of_k():

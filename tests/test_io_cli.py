@@ -19,10 +19,12 @@ from espent import (
     NormError,
     ParseError,
     PureBipartiteState,
+    QuenchConfig,
     Spectrum,
     TooLargeError,
     analyze,
     parse_state_file,
+    quench_trajectory,
     random_haar_state,
     schmidt_spectrum,
     serialize_state,
@@ -531,6 +533,30 @@ def test_cli_quench(tmp_path, capsys, caplog):
         assert float(cell) == pytest.approx(rec["report"]["entropies"]["s_r"]["2"], abs=1e-8)
         assert rec["report"]["convergence"]["s_r"]["2"]["converged"]
     assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
+
+@pytest.mark.parametrize("model", ["tfi", "xxz"])
+def test_cli_quench_json_holds_one_compact_record_per_line(tmp_path, capsys, model):
+    # A JSON array laid out as "[", one record per time point, "]"; loaded, it
+    # equals the indented dump of the same records
+    steps, out_json = 5, tmp_path / "traj.json"
+    argv = ["quench", "--model", model, "--length", "6", "--cut", "3", "--tmax", "1.5",
+            "--steps", str(steps), "--r-max", "3", "--json", str(out_json)]
+    assert main(argv) == EXIT_OK
+    text = out_json.read_text()
+    lines = text.splitlines()
+    assert text.endswith("\n") and len(lines) == steps + 3
+    assert lines[0] == "[" and lines[-1] == "]"
+    inner = [line.removesuffix(",") for line in lines[1:-1]]
+    assert [line.endswith(",") for line in lines[1:-1]] == [True] * steps + [False]
+    records = [json.loads(line) for line in inner]
+    assert [json.dumps(rec, sort_keys=True) for rec in records] == inner
+    cfg = QuenchConfig(model=model, length=6, cut=3, tmax=1.5, steps=steps)
+    expected = [
+        {"time": t, "report": report.to_dict()}
+        for t, report in quench_trajectory(cfg, AnalysisOptions(r_max=3))
+    ]
+    assert json.loads(text) == records == json.loads(json.dumps(expected, sort_keys=True, indent=2))
 
 
 def test_cli_quench_marks_divergent_series(capsys, caplog):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import espent.quench
 from espent import (
     AnalysisOptions,
     InvalidCutError,
@@ -130,6 +131,33 @@ def test_trajectory_reports_match_analyze_per_ket(model, length, cut):
         state = validate_state(ket.reshape(2**cut, -1), renormalize=True)
         assert t == t_ref
         assert json.dumps(report.to_dict()) == json.dumps(analyze(state, options).to_dict())
+
+
+def _scatter_with_add_at(kets, gr, chi, a_t):
+    """The ufunc.at scatter the sector evolution used before: all g at once."""
+    np.add.at(kets, gr.ravel(), (chi[:, None, None] * a_t).reshape(-1, a_t.shape[1]))
+
+
+@pytest.mark.parametrize("length", range(2, MAX_LENGTH + 1))
+@pytest.mark.parametrize("initial", ["up", "neel"])
+@pytest.mark.parametrize("model", ["tfi", "xxz"])
+def test_sector_scatter_is_bitwise_the_add_at_scatter(monkeypatch, model, initial, length):
+    # Each scatter call also runs on a shadow copy of the kets through
+    # np.add.at, which sums repeated indices in the same g-major order; the
+    # two must agree in every bit after every call
+    scatter, shadows, calls = espent.quench._scatter, {}, []
+
+    def checked(kets, gr, chi, a_t):
+        shadow = shadows.setdefault(id(kets), kets.copy())
+        _scatter_with_add_at(shadow, gr, chi, a_t)
+        scatter(kets, gr, chi, a_t)
+        calls.append(kets.tobytes() == shadow.tobytes())
+
+    monkeypatch.setattr(espent.quench, "_scatter", checked)
+    cfg = QuenchConfig(model=model, length=length, cut=1, tmax=2.0, steps=4, initial=initial)
+    times = np.linspace(0.0, cfg.tmax, cfg.steps + 1)
+    _evolve_in_sectors(*hamiltonian_triples(cfg), initial_product_state(cfg), times)
+    assert calls and all(calls)
 
 
 def assert_matches_kron_evolution(cfg, r_max):

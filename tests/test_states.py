@@ -169,11 +169,11 @@ NAN, INF = float("nan"), float("inf")
 @pytest.mark.parametrize(
     "matrix, error",
     [
-        ([[0.5, NAN], [NAN, 0.5]], IndefiniteMatrixError),
-        ([[NAN, 0.0], [0.0, 0.5]], IndefiniteMatrixError),
-        ([[INF, 0.0], [0.0, 0.5]], NormError),
+        ([[0.5, NAN], [NAN, 0.5]], ValueError),
+        ([[NAN, 0.0], [0.0, 0.5]], ValueError),
+        ([[INF, 0.0], [0.0, 0.5]], ValueError),
         ([[0.5, -INF], [-INF, 0.5]], ValueError),
-        ([[0.5, INF], [-INF, 0.5]], IndefiniteMatrixError),
+        ([[0.5, INF], [-INF, 0.5]], ValueError),
         ([[0.5, 1e-11], [0.0, 0.5]], IndefiniteMatrixError),
         ([[0.5, 1e-13], [0.0, 0.5]], None),
         ([[0.5, 0.1j], [-0.1j, 0.5]], None),
@@ -181,16 +181,36 @@ NAN, INF = float("nan"), float("inf")
     ],
 )
 def test_hermitian_check_verdicts(matrix, error):
-    # Hermitian means np.allclose(m, m^dagger, atol=1e-12, rtol=0).
-    # Symmetric infinities pass it and the trace; the finiteness check that
-    # follows refuses them.
+    # Hermitian means np.allclose(m, m^dagger, atol=1e-12, rtol=0).  A NaN or
+    # infinite entry is refused first, as non-finite, whatever the Hermitian
+    # and trace checks would say of it.
     m = np.array(matrix, dtype=complex)
-    assert (error is IndefiniteMatrixError) != np.allclose(m, m.conj().T, atol=1e-12, rtol=0.0)
+    if np.isfinite(m).all():
+        assert (error is IndefiniteMatrixError) != np.allclose(m, m.conj().T, atol=1e-12, rtol=0.0)
+    else:
+        assert error is ValueError
     if error is None:
         ReducedDensityMatrix(dim=2, matrix=m)
     else:
-        with pytest.raises(error):
+        with pytest.raises(error) as info:
             ReducedDensityMatrix(dim=2, matrix=m)
+        assert type(info.value) is error
+
+
+def test_nan_entry_is_refused_as_non_finite_not_as_non_hermitian():
+    # NaN != NaN, so the Hermitian check alone would call it "not Hermitian"
+    m = np.array([[0.5, NAN], [NAN, 0.5]], dtype=complex)
+    with pytest.raises(ValueError, match="NaN or infinite") as info:
+        ReducedDensityMatrix(dim=2, matrix=m)
+    assert type(info.value) is ValueError
+
+
+def test_infinite_diagonal_is_refused_as_non_finite_not_as_a_bad_trace():
+    # The trace check alone would report "trace inf is not 1"
+    m = np.array([[INF, 0.0], [0.0, 0.5]], dtype=complex)
+    with pytest.raises(ValueError, match="NaN or infinite") as info:
+        ReducedDensityMatrix(dim=2, matrix=m)
+    assert type(info.value) is ValueError
 
 
 def test_eigvalsh_spectra_clamps_and_normalizes():
