@@ -12,7 +12,7 @@ from .entropy import (
     linear_entropy,
     purities_from_esp,  # noqa: F401  the benchmark tracer (bench/spans.py) wraps this name
     purities_from_spectrum,
-    purities_recurrence,
+    purities_recurrence,  # noqa: F401  the benchmark tracer (bench/spans.py) wraps this name
     q_tilde,
     renyi_entropy,
     s_r_truncated,  # noqa: F401  the benchmark tracer (bench/spans.py) wraps this name
@@ -20,7 +20,7 @@ from .entropy import (
     von_neumann_direct,
     von_neumann_series,  # noqa: F401  the benchmark tracer (bench/spans.py) wraps this name
 )
-from .errors import InvalidOptionError, TooLargeError
+from .errors import DimensionMismatchError, InvalidOptionError, TooLargeError
 from .fermions import fermionic_encoding_probability
 from .states import PureBipartiteState, Spectrum, eigvalsh_spectra, gram_matrix, schmidt_spectra
 from .states import reduced_density_matrix, spectrum  # noqa: F401  bench/spans.py wraps these
@@ -29,10 +29,10 @@ from .volumes import (
     esp_from_spectrum,
 )
 
-SCHEMA_VERSION = 4
-# Purities cost time and memory linear in k_max: analyze takes about 0.3 s over
-# 2^16 purities of an 8 x 8 state and the CLI peaks near 44 MB, so larger
-# requests are refused before any work.
+SCHEMA_VERSION = 5
+# Purities cost time and memory linear in k_max: over 2^16 purities of an 8 x 8
+# state analyze takes about 0.07 s, and the whole CLI call 0.24 s with a 40 MB
+# peak (one BLAS thread), so larger requests are refused before any work.
 MAX_K = 2**16
 
 
@@ -88,9 +88,13 @@ def analyze_batch(states, options: AnalysisOptions | None = None) -> list[Analys
     """Run the full measurement stack on each of a nonempty list of same-shape states.
 
     The SVD, Gram rho and eigvalsh run once on the stack, the rest per state.  The ESPs
-    and purities come from the squared singular values of psi (accurate when small) and
-    are checked against eigvalsh(rho) and Newton's recurrence; residuals are reported.
+    and purities come from the squared singular values of psi (accurate when small); the
+    ESPs are checked against those of eigvalsh(rho), and the largest gap is reported.
     rho is the Gram of the smaller side, its spectrum padded with exact zeros to n."""
+    shapes = {state.amplitudes.shape for state in states}
+    if len(shapes) != 1:
+        got = f"shapes {sorted(shapes)}" if shapes else "no states"
+        raise DimensionMismatchError(f"analyze_batch needs states of one shape, got {got}")
     if options is None:
         options = AnalysisOptions()
     amps = np.array([state.amplitudes for state in states])
@@ -139,11 +143,9 @@ def _report(state, spec: Spectrum, spec_eig: Spectrum, options: AnalysisOptions)
     if options.simulate_bunching:
         bunching = {"p_bunch": fermionic_encoding_probability(state)}
 
+    esp_eig = esp_from_spectrum(spec_eig).values
     residuals = {
-        "esp_routes_max": _max_gap(esp.values, esp_from_spectrum(spec_eig).values),
-        "purity_routes_max": _max_gap(
-            purities.values, purities_recurrence(esp, options.k_max).values
-        ),
+        "esp_routes_max": max(abs(x - y) for x, y in zip(esp.values, esp_eig)),
         "bunching_vs_e2": abs(bunching["p_bunch"] - esp[2]) if bunching else None,
     }
 
@@ -159,7 +161,3 @@ def _report(state, spec: Spectrum, spec_eig: Spectrum, options: AnalysisOptions)
         residuals=residuals,
     )
 
-
-def _max_gap(a: tuple[float, ...], b: tuple[float, ...]) -> float:
-    """Largest absolute entrywise difference of two routes' values."""
-    return max(abs(x - y) for x, y in zip(a, b))

@@ -23,7 +23,9 @@ from espent import (
     Spectrum,
     TooLargeError,
     analyze,
+    esp_from_spectrum,
     parse_state_file,
+    purities_recurrence,
     quench_trajectory,
     random_haar_state,
     schmidt_spectrum,
@@ -251,7 +253,8 @@ def test_round_trip_bit_identical(tmp_path):
 def test_analyze_report_fields():
     rep = analyze(random_bell(), options=None)
     d = rep.to_dict()
-    assert d["schema_version"] == 4
+    assert d["schema_version"] == 5
+    assert set(d["residuals"]) == {"esp_routes_max", "bunching_vs_e2"}
     assert d["entropies"]["linear"] == pytest.approx(0.5, abs=1e-10)
     assert d["residuals"]["esp_routes_max"] < 1e-8
     assert d["entropies"]["s_r"]["2"] == d["entropies"]["von_neumann_series"]
@@ -264,6 +267,7 @@ def test_analyze_calls_neither_partition_formula_nor_charpoly(monkeypatch):
 
     monkeypatch.setattr(espent.report, "purities_from_esp", refuse)
     monkeypatch.setattr(espent.report, "esp_from_charpoly", refuse)
+    monkeypatch.setattr(espent.report, "purities_recurrence", refuse)
     options = AnalysisOptions(r_max=8, k_max=64, simulate_bunching=True)
     report = analyze(random_haar_state(8, 8, 1), options).to_dict()
     assert len(report["spectrum"]) == len(report["esp"]) == 8
@@ -285,9 +289,13 @@ def test_analyze_purities_are_power_sums_of_the_svd_spectrum(n, d):
 
 @pytest.mark.parametrize("n", [8, 16, 32, 64])
 def test_analyze_route_residuals_on_haar_states(n):
-    residuals = analyze(random_haar_state(n, n, 1)).residuals
-    assert residuals["esp_routes_max"] <= 1e-14
-    assert residuals["purity_routes_max"] <= 1e-14
+    # Newton's recurrence on the ESPs is the purities' test reference;
+    # analyze takes only the power sums.
+    state = random_haar_state(n, n, 1)
+    report = analyze(state, AnalysisOptions(k_max=12))
+    assert report.residuals["esp_routes_max"] <= 1e-14
+    recurrence = purities_recurrence(esp_from_spectrum(schmidt_spectrum(state)), 12)
+    np.testing.assert_allclose(report.purities, recurrence.values, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("n", range(1, 9))

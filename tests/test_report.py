@@ -1,6 +1,7 @@
 """analyze_batch: one stacked analysis gives each state the bytes of analyze."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,11 +11,14 @@ from hypothesis import strategies as st
 import espent.report
 from espent import (
     AnalysisOptions,
+    DimensionMismatchError,
     Spectrum,
     analyze,
     analyze_batch,
     esp_from_spectrum,
+    purities_recurrence,
     random_haar_state,
+    schmidt_spectrum,
     validate_state,
 )
 from espent.states import eigvalsh_spectra
@@ -55,10 +59,30 @@ def test_batch_reports_match_analyze(stack, bunching, full_order):
         assert json.dumps(report.to_dict()) == json.dumps(analyze(state, options).to_dict())
 
 
+@pytest.mark.parametrize("kind", KINDS[1:])
+def test_purities_match_newton_recurrence(kind):
+    # Newton's recurrence on the ESPs is the purities' test reference; on
+    # these kinds it differs from the power sums by at most 2.7e-15.
+    rng = np.random.default_rng(0)
+    for n in range(1, 9):
+        for d in range(1, 9):
+            for _ in range(3):
+                state = validate_state(_state(kind, n, d, rng), renormalize=True)
+                purities = analyze(state, AnalysisOptions(k_max=12)).purities
+                esp = esp_from_spectrum(schmidt_spectrum(state))
+                recurrence = purities_recurrence(esp, 12).values
+                np.testing.assert_allclose(purities, recurrence, rtol=0, atol=1e-14)
+
+
 def test_batch_refuses_states_of_different_shapes():
     states = [validate_state(np.eye(2) / np.sqrt(2.0)), validate_state(np.ones((2, 3)) / 6**0.5)]
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatchError, match=re.escape("shapes [(2, 2), (2, 3)]")):
         analyze_batch(states)
+
+
+def test_batch_refuses_an_empty_list():
+    with pytest.raises(DimensionMismatchError, match="no states"):
+        analyze_batch([])
 
 
 @pytest.mark.parametrize("n, d", [(9, 3), (3, 9), (64, 2)])
