@@ -24,7 +24,6 @@ partial sums for small depths.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import operator
@@ -104,14 +103,14 @@ def renyi_entropy(spec: Spectrum, alpha: float) -> float:
     """
     if not 0.0 < alpha < math.inf or alpha == 1.0:
         raise InvalidOrderError(f"alpha={alpha}; need finite alpha > 0 and alpha != 1")
-    top, *rest = spec.eigenvalues
-    tail = math.fsum((lam / top) ** alpha for lam in rest if lam > 0.0)
+    top, *rest = spec.eigenvalues[: spec.rank]
+    tail = math.fsum((lam / top) ** alpha for lam in rest)
     return 0.0 - (alpha * math.log(top) + math.log1p(tail)) / (alpha - 1.0)  # +0.0 when pure
 
 
 def von_neumann_direct(spec: Spectrum) -> float:
     """-sum lambda ln lambda with 0 ln 0 = 0; the ground-truth oracle."""
-    return 0.0 - math.fsum(lam * math.log(lam) for lam in spec.eigenvalues if lam > 0.0)
+    return 0.0 - math.fsum(lam * math.log(lam) for lam in spec.eigenvalues[: spec.rank])
 
 
 # ---------------------------------------------------------------------------
@@ -159,13 +158,11 @@ def purities_from_esp(esp: ESPVector, K: int) -> PuritySequence:
 def purities_from_spectrum(spec: Spectrum, K: int) -> PuritySequence:
     """Tr(rho^k) = sum_j lambda_j^k for k = 1..K, each sum exactly rounded.
 
-    The route analyze uses: K powers of each nonzero eigenvalue, where the
-    partition formula's cost grows exponentially in K.  The trailing exact
-    zeros (n - d of them when n > d) would each add +0.0, so they are
-    skipped.  K < 1 gives no purity: OrderOutOfRangeError.
+    The route analyze uses: K powers of each of the rank nonzero eigenvalues,
+    where the partition formula's cost grows exponentially in K.
+    K < 1 gives no purity: OrderOutOfRangeError.
     """
-    vals = spec.eigenvalues
-    head = vals[: bisect.bisect_left(vals, 0.0, key=operator.neg)]
+    head = spec.eigenvalues[: spec.rank]
     return PuritySequence(
         values=tuple(math.fsum(lam**k for lam in head) for k in range(1, K + 1))
     )
@@ -208,16 +205,19 @@ def _q_r_roots(esp: ESPVector, orders: range | list[int]) -> tuple[np.ndarray, .
     """Roots of q_r for every r in orders from one stacked eigensolve.
 
     Row i holds the eigenvalues of q_r's companion matrix zero-padded to
-    R x R, R = max(orders); exact trailing zeros e_k = 0 are stripped first,
-    so they come back as exact zero roots.  Also returns the live mask
+    R x R.  Exact trailing zeros e_k = 0 are stripped first, so they come back
+    as exact zero roots: q_r has effective degree the index of its last
+    nonzero e_k, and R is the largest of these.  Also returns the live mask
     |nu| >= ZERO_ROOT and, per order, the certificate: e_0 ... e_m rebuilt
     from the m live roots match to |e^_k - e_k| <= CERTIFY_TOL |e_k|.  It
     fails for r >~ n/2 at n >= 24; at n >= 32 S_r there can be 1e-2 off.
     """
-    R = max(orders)
-    k = np.arange(R + 1)
-    coeffs = np.array(_truncated_e_list(esp, R)) * (-1.0) ** k
-    block = k[:-1] < np.maximum.accumulate(np.where(coeffs != 0.0, k, 0))[list(orders), None]
+    k = np.arange(max(orders) + 1)
+    coeffs = np.array(_truncated_e_list(esp, k[-1])) * (-1.0) ** k
+    degree = np.maximum.accumulate(np.where(coeffs != 0.0, k, 0))[list(orders)]
+    R = degree.max()
+    k, coeffs = k[: R + 1], coeffs[: R + 1]
+    block = k[:-1] < degree[:, None]
     companion = np.vstack([-coeffs[1:], np.eye(R - 1, R)])
     stack = np.where(block[:, :, None] & block[:, None, :], companion, 0.0)
     nu = np.linalg.eigvals(stack).astype(complex)

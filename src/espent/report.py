@@ -116,13 +116,12 @@ def _report(state, spec: Spectrum, spec_eig: Spectrum, options: AnalysisOptions)
     esp = esp_from_spectrum(spec)
     purities = purities_from_spectrum(spec, options.k_max)
 
-    # S_1 = -e_1 ln e_1 = 0, S_n sums over the spectrum, the rest is one eigensolve.
+    # S_1 = -e_1 ln e_1 = 0.  From the rank on, e_r = 0 leaves S_r = S, summed over
+    # the spectrum; the orders between are one eigensolve.
     vn_direct = von_neumann_direct(spec)
-    series = {
-        1: SeriesResult(value=0.0, converged=True),
-        n: SeriesResult(value=vn_direct, converged=True),
-    }
-    orders = range(2, min(r_max + 1, n))
+    series = dict.fromkeys(range(spec.rank, r_max + 1), SeriesResult(vn_direct, True))
+    series[1] = SeriesResult(0.0, True)
+    orders = range(2, min(r_max + 1, spec.rank))
     series.update(zip(orders, truncated_entropies(esp, orders) if orders else ()))
     reported = range(1, r_max + 1)
 
@@ -153,7 +152,7 @@ def _report(state, spec: Spectrum, spec_eig: Spectrum, options: AnalysisOptions)
         n=n,
         d=state.d,
         spectrum=spec.eigenvalues,
-        esp=esp.display_values(),
+        esp=esp.values,
         purities=purities.values,
         entropies=entropies,
         bunching=bunching,

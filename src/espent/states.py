@@ -8,6 +8,7 @@ symmetric-polynomial measures) is built on top of these values.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from dataclasses import dataclass, field
@@ -87,9 +88,14 @@ class ReducedDensityMatrix:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues of a reduced density matrix, sorted non-increasing."""
+    """Eigenvalues of a reduced density matrix, sorted non-increasing.
+
+    rank is the number of nonzero eigenvalues, which come first: the
+    consumers read eigenvalues[:rank] and skip the exact zeros.
+    """
 
     eigenvalues: tuple[float, ...] = field()
+    rank: int = field(init=False)
 
     def __post_init__(self):
         vals = tuple(map(float, self.eigenvalues))
@@ -102,6 +108,7 @@ class Spectrum:
         if any(map(operator.lt, vals, vals[1:])):
             raise ValueError("spectrum must be sorted non-increasing")
         object.__setattr__(self, "eigenvalues", vals)
+        object.__setattr__(self, "rank", bisect.bisect_left(vals, 0.0, key=operator.neg))
 
     def __len__(self) -> int:
         return len(self.eigenvalues)

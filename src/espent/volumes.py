@@ -20,9 +20,6 @@ import numpy as np
 from .errors import LengthMismatchError, OrderOutOfRangeError
 from .states import ReducedDensityMatrix, Spectrum, gram_matrix
 
-# Values below this are reported as 0 in user-facing output (kept raw here).
-DISPLAY_ZERO_TOL = 1e-14
-
 
 @dataclass(frozen=True)
 class ESPVector:
@@ -71,10 +68,6 @@ class ESPVector:
     def __len__(self) -> int:
         return len(self.values)
 
-    def display_values(self) -> tuple[float, ...]:
-        """Values with sub-1e-14 noise snapped to 0 for reporting."""
-        return tuple(0.0 if abs(v) < DISPLAY_ZERO_TOL else v for v in self.values)
-
 
 def wedge_norm_squared(vectors) -> float:
     """Squared norm of v_1 ^ ... ^ v_r: the Gram determinant det(<v_a|v_b>)."""
@@ -111,14 +104,12 @@ def esp_from_spectrum(spec: Spectrum) -> ESPVector:
 
     Updates run over k in descending order so each eigenvalue is absorbed
     in place; every addition is of nonnegative terms, so there is no
-    cancellation.  The j-th eigenvalue reaches e_j..e_1 only, and the loop
-    stops at the first zero: the skipped updates would all add +0.0.
+    cancellation.  The j-th eigenvalue reaches e_j..e_1 only, and only the
+    rank nonzero eigenvalues run: e_k = 0 exactly for k > rank.
     """
     n = len(spec)
     e = [1.0] + [0.0] * n  # e[0] = e_0
-    for j, lam in enumerate(spec.eigenvalues, start=1):  # already descending
-        if lam == 0.0:
-            break
+    for j, lam in enumerate(spec.eigenvalues[: spec.rank], start=1):  # already descending
         for k in range(j, 0, -1):
             e[k] += lam * e[k - 1]
     return ESPVector(n=n, values=tuple(e[1:]))

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from espent import (
@@ -461,22 +462,30 @@ def same(a, b):
     return a.converged == b.converged and a.value.hex() == b.value.hex()
 
 
+# lambda ~ 10^(-12 i), i < 27, and one exact zero: rank 27, but e_k underflows
+# to 0 from k = 8 on.  S_27 = S = 2.86e-11, where the roots of q_27 (whose one
+# near 1e-12 falls below ZERO_ROOT) give 1.0e-12, flagged converged.
+GRADED = np.r_[10.0 ** (-12.0 * np.arange(27)), 0.0]
+GRADED /= math.fsum(GRADED)
+
+
+def diagonal_state(lam):
+    """The state with Schmidt spectrum lam, one column per nonzero eigenvalue:
+    schmidt_spectrum pads the exact zeros."""
+    amps = np.zeros((len(lam), max(np.count_nonzero(lam), 1)))
+    amps[: amps.shape[1], :] = np.diag(np.sqrt(lam[: amps.shape[1]]))
+    return validate_state(amps, renormalize=True)
+
+
 @settings(max_examples=120, deadline=None)
 @given(lam=adversarial_spectra())
+@example(lam=GRADED)
 def test_stacked_eigensolve_matches_per_order_roots_bitwise(lam):
-    # Every caller of the stacked eigensolve returns the per-order route's
-    # value and converged flag bit for bit, at every order up to n <= 32.
-    # One column per nonzero eigenvalue: schmidt_spectrum pads exact zeros.
+    # Every library caller of the stacked eigensolve returns the per-order
+    # route's value and converged flag bit for bit, at every order up to n <= 32.
     n = len(lam)
-    amps = np.zeros((n, max(np.count_nonzero(lam), 1)))
-    amps[: amps.shape[1], :] = np.diag(np.sqrt(lam[: amps.shape[1]]))
-    state = validate_state(amps, renormalize=True)
-    esp = esp_from_spectrum(schmidt_spectrum(state))
+    esp = esp_from_spectrum(schmidt_spectrum(diagonal_state(lam)))
     ref = {r: s_r_per_order(esp, r) for r in range(2, n + 1)}
-    report = analyze(state, AnalysisOptions(r_max=n))
-    for r in range(2, n):
-        converged = report.convergence["s_r"][str(r)]["converged"]
-        assert same(SeriesResult(report.entropies["s_r"][str(r)], converged), ref[r][0])
     for r, res in zip(range(2, n + 1), truncated_entropies(esp, range(2, n + 1))):
         assert same(res, ref[r][0])
         assert same(s_r_truncated(esp, r), ref[r][0])
@@ -485,6 +494,40 @@ def test_stacked_eigensolve_matches_per_order_roots_bitwise(lam):
         nu, m = ref[r][1][:, None], np.arange(1, 6)
         expected = math.fsum((nu * (1.0 - nu) ** m / m).real.ravel())
         assert series_partial_sum(esp, r, 5).hex() == expected.hex()
+
+
+@settings(max_examples=120, deadline=None)
+@given(lam=adversarial_spectra())
+@example(lam=GRADED)
+def test_analyze_s_r_is_the_per_order_root_below_the_rank_and_s_from_it(lam):
+    # Below the rank analyze's S_r is the per-order route's bit for bit; from
+    # the rank on e_r = 0, so S_r is von_neumann_direct and converged.
+    n = len(lam)
+    state = diagonal_state(lam)
+    spec = schmidt_spectrum(state)
+    esp = esp_from_spectrum(spec)
+    report = analyze(state, AnalysisOptions(r_max=n))
+    s = SeriesResult(von_neumann_direct(spec), True)
+    for r in range(2, n + 1):
+        converged = report.convergence["s_r"][str(r)]["converged"]
+        expected = s_r_per_order(esp, r)[0] if r < spec.rank else s
+        assert same(SeriesResult(report.entropies["s_r"][str(r)], converged), expected)
+
+
+def test_truncated_entropies_of_a_2048_x_2_state_size_the_stack_by_degree():
+    # e_k = 0 for k > 2, so every q_r is q_2 times x^(r - 2): one 2 x 2
+    # companion block per order.  A stack sized by order would need 8 GiB for
+    # its mask alone; the peak is about 0.6 MiB.
+    esp = esp_from_spectrum(schmidt_spectrum(random_haar_state(2048, 2, 1)))
+    tracemalloc.start()
+    try:
+        results = truncated_entropies(esp, range(2, 2048))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert same(results[0], s_r_per_order(esp, 2)[0])
+    assert all(same(res, results[0]) for res in results)
 
 
 def test_stacked_eigensolve_keeps_exact_zero_roots():

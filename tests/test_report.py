@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from espent import (
     random_haar_state,
     schmidt_spectrum,
     validate_state,
+    von_neumann_direct,
 )
 from espent.states import eigvalsh_spectra
 
@@ -57,6 +59,49 @@ def test_batch_reports_match_analyze(stack, bunching, full_order):
     assert len(reports) == len(stack)
     for state, report in zip(states, reports):
         assert json.dumps(report.to_dict()) == json.dumps(analyze(state, options).to_dict())
+
+
+@st.composite
+def single_states(draw, n_min=1):
+    """One state of a drawn kind; n runs to 16 and d to 8, so many have rank < n."""
+    n, d = draw(st.integers(n_min, 16)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return validate_state(_state(draw(st.sampled_from(KINDS)), n, d, rng), renormalize=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(state=single_states())
+def test_s_r_from_the_rank_on_is_von_neumann_direct(state):
+    # e_r = 0 for r > rank, so the nonzero roots of q_r are the spectrum: S_r = S.
+    report = analyze(state, AnalysisOptions(r_max=state.n))
+    spec = Spectrum(eigenvalues=report.spectrum)
+    direct = von_neumann_direct(spec).hex()
+    for r in range(spec.rank, state.n + 1):
+        assert report.entropies["s_r"][str(r)].hex() == direct
+        assert report.convergence["s_r"][str(r)]["converged"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(state=single_states(n_min=2))
+def test_report_prints_one_e_2(state):
+    # e_2 appears as esp[1] and as q_tilde; neither is snapped to 0.
+    report = analyze(state)
+    assert report.esp[1].hex() == report.entropies["q_tilde"].hex()
+
+
+def test_analyze_of_a_2048_x_2_state_at_r_max_2048_stays_small():
+    # Rank 2 leaves no order to the eigensolve, whose stack sized by r_max
+    # would need 8 GiB for its mask alone; the peak is about 1.3 MiB.
+    state = random_haar_state(2048, 2, 1)
+    tracemalloc.start()
+    try:
+        report = analyze(state, AnalysisOptions(r_max=2048))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert len(report.entropies["s_r"]) == 2048
+    assert all(c["converged"] for c in report.convergence["s_r"].values())
 
 
 @pytest.mark.parametrize("kind", KINDS[1:])

@@ -6,6 +6,7 @@ from espent import (
     IndefiniteMatrixError,
     NormError,
     PureBipartiteState,
+    Spectrum,
     ZeroStateError,
     gram_matrix,
     projected_states,
@@ -155,6 +156,18 @@ def test_spectrum_sorted_and_normalized():
         assert abs(sum(lam) - 1.0) < 1e-10
         assert all(lam[i] >= lam[i + 1] for i in range(len(lam) - 1))
         assert all(v >= 0.0 for v in lam)
+
+
+def test_spectrum_rank_counts_the_nonzero_head():
+    # The nonzero eigenvalues come first; every consumer reads eigenvalues[:rank].
+    assert schmidt_spectrum(random_haar_state(5, 5, seed=1)).rank == 5
+    padded = schmidt_spectrum(random_haar_state(7, 3, seed=1))
+    assert padded.rank == 3 and padded.eigenvalues[3:] == (0.0,) * 4
+    assert Spectrum(eigenvalues=(0.5, 0.5, 0.0, -0.0)).rank == 2
+    basis = np.zeros((3, 2))
+    basis[1, 0] = 1.0
+    pure = schmidt_spectrum(validate_state(basis))
+    assert pure.rank == 1 and pure.eigenvalues == (1.0, 0.0, 0.0)
 
 
 def test_random_haar_state_deterministic():

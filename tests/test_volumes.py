@@ -207,9 +207,3 @@ def test_esp_vector_validation():
     assert esp[4] == 0.0  # beyond n
     with pytest.raises(OrderOutOfRangeError):
         esp[3]  # within n but not computed
-
-
-def test_display_values_snap_noise():
-    esp = ESPVector(n=3, values=(1.0, 1e-16, 0.0))
-    assert esp.display_values() == (1.0, 0.0, 0.0)
-    assert esp.values[1] == 1e-16  # raw value kept
