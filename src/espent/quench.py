@@ -2,11 +2,13 @@
 
 Evolves a product state under a transverse-field Ising or XXZ chain and
 analyzes all times in one batch, so the growth of the truncated entropies
-can be tracked alongside the von Neumann entropy.  The evolution is exact,
-by eigh in the spin-flip x reflection symmetry sectors of the basis states
-the initial ket reaches, built from H's nonzero triples (quench_trajectory).
-H's bit rules commute with both symmetries by construction; the evolution
-relies on that and does not re-check it.
+can be tracked alongside the von Neumann entropy.  The evolution is a
+Chebyshev expansion of exp(-iHt) (Tal-Ezer & Kosloff, J. Chem. Phys. 81,
+3967 (1984)) in the spin-flip x reflection symmetry sectors of the basis
+states the initial ket reaches, built from H's nonzero triples, truncated
+where the Bessel tail is below TAIL = 1e-16 (quench_trajectory).  H's bit
+rules commute with both symmetries by construction; the evolution relies on
+that and does not re-check it.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ from .report import analyze  # noqa: F401  the benchmark tracer (bench/spans.py)
 from .states import MAX_AMPLITUDES, validate_state
 
 MAX_LENGTH = 12
+MAX_TERMS = 2**14      # Chebyshev terms per trajectory: the cost grows with half-width x tmax
+TAIL = 1e-16           # bound on the Bessel tail the expansion drops
+_CHUNK = 64            # terms per gemm into the kets
 
 
 @dataclass(frozen=True)
@@ -111,9 +116,89 @@ def initial_product_state(config: QuenchConfig) -> np.ndarray:
     return psi
 
 
+def _chebyshev_terms(x: float) -> int:
+    """K + 1 for the least K >= x - 2 with 4 (x/2)^(K+1) / (K+1)! <= TAIL, or MAX_TERMS + 1.
+
+    |J_m(x)| <= (x/2)^m / m!, and from m = K + 1 >= x - 1 on these bounds at
+    least halve with each m, so 4 (x/2)^(K+1) / (K+1)! bounds 2 sum_{m>K}
+    |J_m(x)|: the norm of what a K-term expansion of exp(-i x cos) drops."""
+    if x == 0.0:
+        return 1
+    if not x <= MAX_TERMS:  # K + 1 > x here, and inf or nan would not compare
+        return MAX_TERMS + 1
+    log_half_x = math.log(x) - math.log(2.0)  # x / 2 may underflow
+    for k in range(max(0, math.ceil(x) - 2), MAX_TERMS):
+        if math.log(4.0) + (k + 1) * log_half_x - math.lgamma(k + 2) <= math.log(TAIL):
+            return k + 1
+    return MAX_TERMS + 1
+
+
+def _chebyshev_table(center: float, half: float, times: np.ndarray, terms: int) -> np.ndarray:
+    """c_m(t) = (2 - delta_m0) (-i)^m J_m(half t) exp(-i center t), m < terms, as rows [Re | Im].
+
+    (-i)^m J_m(x) are the Fourier coefficients of exp(-i x cos(theta)), taken
+    by an FFT on 2 terms points, so every J_m that aliases onto m < terms has
+    m >= terms and lies in the Bessel tail.  The t = 0 column is exactly
+    (1, 0, ..., 0), so that the t = 0 ket is psi0 bitwise."""
+    n, count = 2 * terms, times.size
+    cos = np.cos(2.0 * np.pi / n * np.arange(n))
+    table = np.empty((terms, 2 * count))
+    batch = max(1, 2**16 // n)  # times per FFT, so its work arrays stay small
+    for s in range(0, count, batch):
+        t = times[s : s + batch]
+        c = np.fft.fft(np.exp(-1j * np.outer(half * t, cos)), axis=1)[:, :terms]
+        c *= np.exp(-1j * center * t)[:, None] / n
+        table[:, s : s + t.size] = c.real.T
+        table[:, count + s : count + s + t.size] = c.imag.T
+    table[1:] *= 2.0
+    zero = np.flatnonzero(times == 0.0)
+    table[:, zero] = table[:, count + zero] = 0.0
+    table[0, zero] = 1.0
+    return table
+
+
+def _chebyshev_sum(p: np.ndarray, v0: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """sum_m table[m] v_m as a (columns, v0.size) array, v_m = T_m(p / 2) v0.
+
+    The recurrence is v_{m+1} = p v_m - v_{m-1} from v_1 = p v0 / 2.  The
+    v_m of _CHUNK terms at a time fill a ring buffer that one real gemm adds
+    to the sum, so memory does not grow with the number of terms."""
+    terms = table.shape[0]
+    ring = np.empty((min(terms, _CHUNK), v0.size))
+    acc = np.zeros((table.shape[1], v0.size))
+    for m in range(terms):
+        j = m % len(ring)
+        if m == 0:
+            ring[0] = v0
+        else:
+            np.matmul(p, ring[j - 1], out=ring[j])
+            if m == 1:
+                ring[j] /= 2.0
+            else:
+                ring[j] -= ring[j - 2]
+        if j == len(ring) - 1 or m == terms - 1:
+            acc += table[m - j : m + 1].T @ ring[: j + 1]
+    return acc
+
+
 def _evolve_in_sectors(rows, cols, vals, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """exp(-i H t) psi0 for each t, exact, as columns, from H's triples; see quench_trajectory."""
+    """exp(-i H t) psi0 for each t, as columns, from H's triples; see quench_trajectory."""
     dim, length = psi0.size, psi0.size.bit_length() - 1
+    # Gershgorin interval [center - half, center + half] of H: it holds the
+    # spectrum of every sector block, each being H on an invariant subspace
+    off = rows != cols
+    radius = np.bincount(rows[off], np.abs(vals[off]), minlength=dim)
+    diag = np.bincount(rows[~off], vals[~off], minlength=dim)
+    lo, hi = float(np.min(diag - radius)), float(np.max(diag + radius))
+    center, half, tmax = (hi + lo) / 2.0, (hi - lo) / 2.0, float(times.max())
+    terms = _chebyshev_terms(half * tmax)
+    if terms > MAX_TERMS or terms * times.size > MAX_AMPLITUDES:
+        raise TooLargeError(
+            f"tmax {tmax:g} at spectral half-width {half:g} needs"
+            f" {'over ' * (terms > MAX_TERMS)}{min(terms, MAX_TERMS)} Chebyshev terms for"
+            f" {times.size} times; at most {MAX_TERMS} terms and {MAX_AMPLITUDES} terms x times"
+        )
+    table = _chebyshev_table(center, half, times, terms)
     idx = np.arange(dim)
     flip = idx ^ (dim - 1)
     refl = sum(((idx >> i) & 1) << (length - 1 - i) for i in range(length))
@@ -135,9 +220,9 @@ def _evolve_in_sectors(rows, cols, vals, psi0: np.ndarray, times: np.ndarray) ->
     for signs in sorted(chars, reverse=True):
         chi = np.array(signs, dtype=float)[:, None]
         gr = orbit[:, ~(stab & (chi < 0)).any(axis=0)]
-        c = 1.0 / np.sqrt(len(group) * (gr == gr[0]).sum(axis=0))
-        a = c * (chi * psi0[gr]).sum(axis=0)
-        if not a.any():
+        n_stab = (gr == gr[0]).sum(axis=0)
+        w = (chi * psi0[gr]).sum(axis=0) / (len(group) * n_stab)
+        if not w.any():
             continue
         pos = np.full(dim, -1)
         pos[gr[0]] = np.arange(gr.shape[1])
@@ -146,11 +231,12 @@ def _evolve_in_sectors(rows, cols, vals, psi0: np.ndarray, times: np.ndarray) ->
             # H[r_a, g r_b] (g g = 1): one triple per (a, b) and g, summed in group order
             hit = np.flatnonzero((pos[rows] >= 0) & (pos[g[cols]] >= 0))
             block[pos[rows[hit]], pos[g[cols[hit]]]] += x * vals[hit]
-        evals, evecs = np.linalg.eigh(len(group) * np.outer(c, c) * block)
-        phases = np.exp(-1j * np.outer(evals, times)) * (evecs.T @ a)[:, None]
-        # Two real products: a complex right factor would copy evecs to complex
-        a_t = c[:, None] * (evecs @ phases.real + 1j * (evecs @ phases.imag))
-        _scatter(kets, gr, chi[:, 0], a_t)
+        # p = 2 (A - center) / half with A[r, r'] = sum_g chi(g) H[r, g r'] / |Stab r|
+        block *= (2.0 / n_stab)[:, None]
+        block[np.diag_indices(w.size)] -= 2.0 * center
+        block /= half or 1.0  # 2 / half would overflow at a subnormal half; 0 runs one term
+        acc = _chebyshev_sum(block, w, table)
+        _scatter(kets, gr, chi[:, 0], acc[: times.size].T + 1j * acc[times.size :].T)
     return kets
 
 
@@ -174,11 +260,20 @@ def quench_trajectory(
     bit rules are invariant under both (proved by the tests for every length
     up to MAX_LENGTH, not re-checked here).  psi0 reaches the set K of
     indices closed under H's nonzero pattern; G is the subgroup of
-    {1, F, R, FR} that maps K onto itself.  For each character chi of G the
-    sector basis is c_r sum_g chi(g) |g r>, r an orbit representative whose
-    stabilizer chi is trivial on, c_r = (|G| |Stab r|)^(-1/2); there
-    H_chi[r, r'] = |G| c_r c_r' sum_g chi(g) H[r, g r'].  psi0 evolves
-    exactly (no Trotter error) by a real eigh of each sector it has weight in.
+    {1, F, R, FR} that maps K onto itself.  For each character chi of G a
+    sector holds the kets sum_r w_r sum_g chi(g) |g r>, r an orbit
+    representative whose stabilizer chi is trivial on; psi0 has
+    w_r = sum_g chi(g) psi0[g r] / (|G| |Stab r|) there, and H acts on w as
+    the real A[r, r'] = sum_g chi(g) H[r, g r'] / |Stab r|, which is similar
+    to the symmetric sector block and so has its spectrum in H's Gershgorin
+    interval [center - half, center + half].  In each sector psi0 has weight
+    in, exp(-iAt) w = sum_m c_m(t) T_m((A - center) / half) w with
+    c_m(t) = (2 - delta_m0) (-i)^m J_m(half t) exp(-i center t): one real
+    three-term recurrence serves every time point.  The sum stops after the
+    K + 1 terms for which 4 (x/2)^(K+1) / (K+1)! <= TAIL = 1e-16 at
+    x = half tmax, which bounds the norm of the dropped tail; there is no
+    Trotter error.  More than MAX_TERMS terms raise TooLargeError before any
+    sector block is built.
     """
     times = np.linspace(0.0, config.tmax, config.steps + 1)
     kets = _evolve_in_sectors(*hamiltonian_triples(config), initial_product_state(config), times)

@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,7 +20,15 @@ from espent import (
     quench_trajectory,
     validate_state,
 )
-from espent.quench import MAX_LENGTH, _evolve_in_sectors, hamiltonian_triples, initial_product_state
+from espent.quench import (
+    MAX_LENGTH,
+    TAIL,
+    _chebyshev_table,
+    _chebyshev_terms,
+    _evolve_in_sectors,
+    hamiltonian_triples,
+    initial_product_state,
+)
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -104,8 +113,8 @@ def test_triples_are_the_nonzero_entries(length, model, coupling, field_strength
 
 @pytest.mark.parametrize("model", ["tfi", "xxz"])
 def test_trajectory_allocates_no_dense_hamiltonian(model):
-    # The dense H of L = 11 alone is 32 MiB; the peak is 10.5 MiB (TFI, two
-    # sectors of 528 states) and 2.3 MiB (XXZ)
+    # The dense H of L = 11 alone is 32 MiB; the peak is 5.9 MiB (TFI, two
+    # sectors of 528 states) and 1.1 MiB (XXZ)
     cfg = QuenchConfig(model=model, length=11, cut=5, tmax=1.0, steps=1)
     tracemalloc.start()
     try:
@@ -215,15 +224,15 @@ def test_sector_evolution_matches_kron_reference(model, initial, length):
         ("tfi", 12, [1056, 1024]), ("xxz", 12, [252, 242]),
     ],
 )
-def test_eigh_runs_only_on_the_sectors_psi0_reaches(monkeypatch, model, length, sizes):
+def test_chebyshev_runs_only_on_the_sectors_psi0_reaches(monkeypatch, model, length, sizes):
     shapes = []
-    eigh = np.linalg.eigh
+    chebyshev_sum = espent.quench._chebyshev_sum
 
-    def spy(a):
-        shapes.append(a.shape)
-        return eigh(a)
+    def spy(p, v0, table):
+        shapes.append(p.shape)
+        return chebyshev_sum(p, v0, table)
 
-    monkeypatch.setattr(np.linalg, "eigh", spy)
+    monkeypatch.setattr(espent.quench, "_chebyshev_sum", spy)
     quench_trajectory(QuenchConfig(model=model, length=length, cut=1, tmax=1.0, steps=1))
     assert sorted(shapes, reverse=True) == [(k, k) for k in sizes]
 
@@ -249,6 +258,153 @@ def test_block_evolution_matches_kron_reference(
         field_strength=field_strength, anisotropy=anisotropy,
     )
     assert_matches_kron_evolution(cfg, r_max=3)
+
+
+def evolve_by_sector_eigh(rows, cols, vals, psi0, times):
+    """Reference kets: the same symmetry sectors, each diagonalized by a real eigh.
+
+    The sector basis is c_r sum_g chi(g) |g r>, c_r = (|G| |Stab r|)^(-1/2),
+    where H_chi[r, r'] = |G| c_r c_r' sum_g chi(g) H[r, g r'] is symmetric."""
+    dim, length = psi0.size, psi0.size.bit_length() - 1
+    idx = np.arange(dim)
+    refl = sum(((idx >> i) & 1) << (length - 1 - i) for i in range(length))
+    reached = frontier = psi0 != 0
+    while frontier.any():
+        grown = np.zeros(dim, dtype=bool)
+        grown[cols[frontier[rows]]] = True
+        frontier = grown & ~reached
+        reached = reached | frontier
+    elements = ((idx, 0, 0), (idx ^ (dim - 1), 1, 0), (refl, 0, 1), (refl ^ (dim - 1), 1, 1))
+    group = [(g, i, j) for g, i, j in elements if reached[g[reached]].all()]
+    k = np.flatnonzero(reached)
+    reps = k[np.min([g[k] for g, _, _ in group], axis=0) == k]
+    orbit = np.array([g[reps] for g, _, _ in group])
+    stab = orbit == reps
+    chars = {tuple(a**i * b**j for _, i, j in group) for a in (1, -1) for b in (1, -1)}
+    kets = np.zeros((dim, times.size), dtype=complex)
+    for signs in chars:
+        chi = np.array(signs, dtype=float)[:, None]
+        gr = orbit[:, ~(stab & (chi < 0)).any(axis=0)]
+        c = 1.0 / np.sqrt(len(group) * (gr == gr[0]).sum(axis=0))
+        a = c * (chi * psi0[gr]).sum(axis=0)
+        pos = np.full(dim, -1)
+        pos[gr[0]] = np.arange(gr.shape[1])
+        block = np.zeros((gr.shape[1],) * 2)
+        for x, (g, _, _) in zip(chi[:, 0], group):
+            hit = np.flatnonzero((pos[rows] >= 0) & (pos[g[cols]] >= 0))
+            block[pos[rows[hit]], pos[g[cols[hit]]]] += x * vals[hit]
+        evals, evecs = np.linalg.eigh(len(group) * np.outer(c, c) * block)
+        a_t = c[:, None] * (evecs @ (np.exp(-1j * np.outer(evals, times)) * (evecs.T @ a)[:, None]))
+        for x, rows_g in zip(chi[:, 0], gr):
+            kets[rows_g] += x * a_t
+    return kets
+
+
+def assert_matches_sector_eigh(cfg, per_radian=0.0):
+    """Kets within 1e-13 + per_radian x of the eigh reference, x = ||H||_inf tmax
+    the most phase any eigenvalue turns through; psi(0) = psi0 bitwise, norms 1 to 1e-13."""
+    times = np.linspace(0.0, cfg.tmax, cfg.steps + 1)
+    triples, psi0 = hamiltonian_triples(cfg), initial_product_state(cfg)
+    kets = _evolve_in_sectors(*triples, psi0, times)
+    x = cfg.tmax * np.bincount(triples[0], np.abs(triples[2]), minlength=psi0.size).max()
+    np.testing.assert_allclose(
+        kets, evolve_by_sector_eigh(*triples, psi0, times), rtol=0.0, atol=1e-13 + per_radian * x
+    )
+    assert np.array_equal(kets[:, 0], psi0)
+    np.testing.assert_allclose(np.linalg.norm(kets, axis=0), 1.0, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("coupling, field_strength, anisotropy", BLOCK_COUPLINGS)
+@pytest.mark.parametrize("length", [9, 10])
+@pytest.mark.parametrize("initial", ["up", "neel"])
+@pytest.mark.parametrize("model", ["tfi", "xxz"])
+def test_chebyshev_kets_match_sector_eigh(
+    model, initial, length, coupling, field_strength, anisotropy
+):
+    cfg = QuenchConfig(
+        model=model, length=length, cut=1, tmax=2.0, steps=20, coupling=coupling,
+        field_strength=field_strength, anisotropy=anisotropy, initial=initial,
+    )
+    assert_matches_sector_eigh(cfg)
+
+
+small_couplings = st.floats(-3.0, 3.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    length=st.integers(2, 8), model=st.sampled_from(["tfi", "xxz"]),
+    initial=st.sampled_from(["up", "neel"]), tmax=st.floats(0.0, 5.0), steps=st.integers(1, 6),
+    coupling=small_couplings, field_strength=small_couplings, anisotropy=small_couplings,
+)
+def test_chebyshev_kets_match_sector_eigh_property(
+    length, model, initial, tmax, steps, coupling, field_strength, anisotropy
+):
+    cfg = QuenchConfig(
+        model=model, length=length, cut=1, tmax=tmax, steps=steps, coupling=coupling,
+        field_strength=field_strength, anisotropy=anisotropy, initial=initial,
+    )
+    # Both routes round the phase of each eigenvalue, eps per radian: over
+    # 4500 random draws the kets differed by up to 1.3e-13 at x near 300,
+    # where the eigh reference itself was up to 1.1e-13 off scipy's expm and
+    # the Chebyshev kets 3e-14
+    assert_matches_sector_eigh(cfg, per_radian=1e-15)
+
+
+@pytest.mark.parametrize(
+    "model, coupling, field_strength, tmax",
+    [
+        ("tfi", 0.0, 0.0, 3.0), ("xxz", 0.0, 1.0, 3.0),
+        ("tfi", 1.0, 1.0, 0.0), ("xxz", 1.0, 1.0, 0.0),
+    ],
+)
+def test_zero_hamiltonian_and_zero_tmax_keep_psi0(model, coupling, field_strength, tmax):
+    # H = 0 has no triples and a zero Gershgorin interval; tmax = 0 has
+    # every time at 0.  Either way each ket is psi0, bitwise
+    cfg = QuenchConfig(
+        model=model, length=6, cut=3, tmax=tmax, steps=4, coupling=coupling,
+        field_strength=field_strength,
+    )
+    times = np.linspace(0.0, cfg.tmax, cfg.steps + 1)
+    psi0 = initial_product_state(cfg)
+    kets = _evolve_in_sectors(*hamiltonian_triples(cfg), psi0, times)
+    assert np.array_equal(kets, np.repeat(psi0[:, None], times.size, axis=1))
+    for _, report in quench_trajectory(cfg, AnalysisOptions(r_max=2)):
+        assert report.entropies["von_neumann_direct"] == 0.0
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-3, 0.7, 8.0, 34.0, 46.0, 300.0])
+def test_chebyshev_coefficients_are_bessel_values_with_the_tail_below_bound(x):
+    # c_m = (2 - delta_m0) (-i)^m J_m(x) at center 0 against 30-digit
+    # Bessel values, and 2 sum_{m >= terms} |J_m(x)| <= TAIL
+    terms = _chebyshev_terms(x)
+    table = _chebyshev_table(0.0, x, np.array([0.0, 1.0]), terms)
+    c = table[:, 1] + 1j * table[:, 3]
+    with mp.workdps(30):
+        ref = [complex((2 - (m == 0)) * (-1j) ** m * mp.besselj(m, x)) for m in range(terms)]
+        tail = 2 * sum(abs(mp.besselj(m, x)) for m in range(terms, terms + 200))
+    # exp(-i x cos(theta)) is sampled with its phase rounded to about eps x
+    np.testing.assert_allclose(c, ref, rtol=0.0, atol=1e-15 + 1e-16 * x)
+    assert tail <= TAIL
+    assert table[0, 0] == 1.0 and not table[1:, 0].any() and not table[:, 2].any()
+
+
+@pytest.mark.parametrize(
+    "tmax, steps, message",
+    [(1e9, 20, "over 16384 Chebyshev terms for 21 times"),
+     (150.0, 4095, "needs 4722 Chebyshev terms for 4096 times")],
+)
+def test_term_bound_fires_before_any_block(monkeypatch, tmax, steps, message):
+    # Too many terms, or a coefficient table of terms x times beyond
+    # MAX_AMPLITUDES, refuse before the table, which comes before any block
+    def fail(*args):
+        raise AssertionError("built")
+
+    monkeypatch.setattr(espent.quench, "_chebyshev_table", fail)
+    cfg = QuenchConfig(model="tfi", length=12, cut=6, tmax=tmax, steps=steps)
+    triples = hamiltonian_triples(cfg)
+    with pytest.raises(TooLargeError, match=message):
+        _evolve_in_sectors(*triples, initial_product_state(cfg), np.linspace(0.0, tmax, steps + 1))
 
 
 finite_couplings = st.floats(-100.0, 100.0)
