@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,8 @@ STATE_SCHEMA_VERSION = 1
 
 
 def state_to_dict(state: PureBipartiteState) -> dict:
+    """The state file as a dict; its json.dumps with sorted keys and indent 2
+    is the canonical text, which the writers below give without building it."""
     return {
         "schema_version": STATE_SCHEMA_VERSION,
         "n": state.n,
@@ -31,17 +34,41 @@ def state_to_dict(state: PureBipartiteState) -> dict:
     }
 
 
+# One amplitude of the canonical text: keys sorted, so "im" comes first.
+_AMPLITUDE = '      {\n        "im": %s,\n        "re": %s\n      }'
+
+
+def _canonical_chunks(state: PureBipartiteState):
+    """The canonical text in pieces, one per row of amplitudes.
+
+    The bytes are those of json.dumps(state_to_dict(state), sort_keys=True,
+    indent=2) + "\n"; the digits come from float.__repr__, as json's own.
+    """
+    row = "    [\n" + ",\n".join([_AMPLITUDE] * state.d) + "\n    ]"
+    amps = state.amplitudes
+    pairs = np.stack((amps.imag, amps.real), axis=-1).reshape(state.n, 2 * state.d)
+    rows = (row % tuple(map(float.__repr__, values.tolist())) for values in pairs)
+    yield '{\n  "amplitudes": [\n' + next(rows)
+    for text in rows:
+        yield ",\n" + text
+    yield (
+        f'\n  ],\n  "d": {state.d},\n  "n": {state.n},\n'
+        f'  "schema_version": {STATE_SCHEMA_VERSION}\n}}\n'
+    )
+
+
 def serialize_state(state: PureBipartiteState) -> str:
     """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(state_to_dict(state), sort_keys=True, indent=2) + "\n"
+    return "".join(_canonical_chunks(state))
 
 
 def write_state_file(state: PureBipartiteState, path) -> None:
-    Path(path).write_text(serialize_state(state))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(_canonical_chunks(state))
 
 
 # json.loads gives exactly these types for numbers; bool is not among them.
-_REAL = (int, float)
+_REAL = frozenset((int, float))
 
 
 def _amplitude(entry) -> complex:
@@ -53,6 +80,29 @@ def _amplitude(entry) -> complex:
             except OverflowError as exc:  # an integer too large for a float
                 raise ParseError(f"bad amplitude entry: {exc}") from exc
     raise ParseError("bad amplitude entry: need an object with real numbers re and im")
+
+
+def _amplitudes(rows: list, n: int, d: int) -> np.ndarray:
+    """The n x d complex matrix of decoded rows, already n lists of d entries.
+
+    The entries are type-checked as a whole and the two float arrays filled
+    from the lists of re and im; on any failure, and for an empty matrix,
+    the per-entry route raises the first bad entry's error or builds it.
+    """
+    entries = list(chain.from_iterable(rows))
+    if set(map(type, entries)) == {dict}:
+        real = list(map(dict.get, entries, repeat("re")))
+        imag = list(map(dict.get, entries, repeat("im")))
+        if _REAL.issuperset(map(type, real)) and _REAL.issuperset(map(type, imag)):
+            try:  # an integer too large for a float overflows here
+                real, imag = np.array((real, imag), dtype=float).reshape(2, n, d)
+            except OverflowError:
+                pass
+            else:
+                raw = np.empty((n, d), dtype=complex)
+                raw.real, raw.imag = real, imag
+                return raw
+    return np.array([[_amplitude(c) for c in row] for row in rows], dtype=complex)
 
 
 def _parse_state_dict(doc: dict, renormalize: bool) -> PureBipartiteState:
@@ -70,8 +120,7 @@ def _parse_state_dict(doc: dict, renormalize: bool) -> PureBipartiteState:
         raise DimensionMismatchError(
             f"amplitudes shape ({len(rows)} x ...) does not match n={n}, d={d}"
         )
-    raw = np.array([[_amplitude(c) for c in row] for row in rows], dtype=complex)
-    return validate_state(raw, renormalize=renormalize)
+    return validate_state(_amplitudes(rows, n, d), renormalize=renormalize)
 
 
 def _parse_state_csv(text: str, renormalize: bool) -> PureBipartiteState:

@@ -3,11 +3,13 @@ import logging
 import math
 import re
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import espent.cli
 import espent.io
@@ -31,6 +33,7 @@ from espent import (
     random_haar_state,
     schmidt_spectrum,
     serialize_state,
+    state_to_dict,
     validate_state,
     write_state_file,
 )
@@ -207,12 +210,64 @@ def parses_or_refuses(path) -> None:
     assert isinstance(state, PureBipartiteState)
 
 
+def amplitudes_per_entry(rows, n, d):
+    """The reference reader: one complex per entry, the first bad one raising."""
+    return np.array([[espent.io._amplitude(c) for c in row] for row in rows], dtype=complex)
+
+
+def outcome(parse, *args):
+    """The amplitudes' bytes (signed zeros and NaN payloads included) and
+    renormalization factor, or the type and message of the refusal."""
+    try:
+        state = parse(*args)
+    except EspentError as exc:
+        return type(exc), str(exc)
+    if isinstance(state, np.ndarray):
+        return state.shape, state.tobytes()
+    return state.amplitudes.shape, state.amplitudes.tobytes(), state.renorm_factor
+
+
 @settings(max_examples=300, deadline=None)
 @given(doc=STATE_DOCS | JSON_VALUES)
 def test_fuzz_json_state_files(fuzz_dir, doc):
     path = fuzz_dir / "state.json"
     path.write_text(json.dumps(doc))
     parses_or_refuses(path)
+    # The whole-list reader gives what the per-entry reader gives, bit for
+    # bit, and refuses with the same error and message.
+    for renormalize in (False, True):
+        result = outcome(parse_state_file, path, renormalize)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(espent.io, "_amplitudes", amplitudes_per_entry)
+            assert outcome(parse_state_file, path, renormalize) == result
+
+
+# Entries as json.loads could decode them, mostly well formed: numbers of
+# every kind (integers beyond a float's range and past 2^53 and 2^64 among
+# them), with now and then a bool, null, string, missing key or non-object.
+NUMBERS = (
+    st.floats()
+    | st.integers()
+    | st.sampled_from([-0.0, 5e-324, 2**53 + 1, 2**63 + 1, 2**64 + 1, -(2**64) - 1, 10**400])
+)
+PART = NUMBERS | st.booleans() | st.none() | st.text(max_size=2)
+ENTRY = st.fixed_dictionaries({"re": NUMBERS, "im": NUMBERS}) | st.fixed_dictionaries(
+    {}, optional={"re": PART, "im": PART}
+)
+
+
+@st.composite
+def amplitude_rows(draw):
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entries = st.one_of(ENTRY, ENTRY, ENTRY, PART)
+    rows = draw(st.lists(st.lists(entries, min_size=d, max_size=d), min_size=n, max_size=n))
+    return rows, n, d
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=amplitude_rows())
+def test_amplitude_rows_match_the_per_entry_route(case):
+    assert outcome(espent.io._amplitudes, *case) == outcome(amplitudes_per_entry, *case)
 
 
 @settings(max_examples=300, deadline=None)
@@ -249,6 +304,55 @@ def test_round_trip_bit_identical(tmp_path):
     reparsed = parse_state_file(path)
     assert serialize_state(reparsed) == text1
     np.testing.assert_array_equal(reparsed.amplitudes, state.amplitudes)
+
+
+def assert_canonical(state, path) -> None:
+    """Both writers give the json encoder's bytes for the same dict."""
+    expected = json.dumps(state_to_dict(state), sort_keys=True, indent=2) + "\n"
+    assert serialize_state(state) == expected
+    write_state_file(state, path)
+    assert path.read_bytes() == expected.encode()
+
+
+# The repr forms json writes: signed zero, subnormal, exponent (1e-05,
+# 1e+16), integer-valued (1.0) and the largest float.
+PINNED = (-0.0, 0.0, 5e-324, -5e-324, 1e-05, 1e16, -1e16, 1.0, -3.0, 0.1, 1.7976931348623157e308)
+
+
+def complex_matrix(real, imag) -> np.ndarray:
+    """Set part by part: arithmetic such as real + 1j * imag loses -0.0."""
+    amps = np.empty(np.shape(real), dtype=complex)
+    amps.real, amps.imag = real, imag
+    return amps
+
+
+@st.composite
+def amplitude_matrices(draw):
+    n, d = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    parts = st.sampled_from(PINNED) | st.floats(allow_nan=False, allow_infinity=False)
+    real, imag = draw(hnp.arrays(np.float64, (2, n, d), elements=parts))
+    return complex_matrix(real, imag)
+
+
+@settings(max_examples=200, deadline=None)
+@example(amps=complex_matrix([[-0.0]], [[5e-324]]))
+@example(amps=complex_matrix([PINNED], [PINNED[::-1]]))
+@example(amps=complex_matrix(np.transpose([PINNED]), -np.transpose([PINNED])))
+@given(amps=amplitude_matrices())
+def test_canonical_text_of_any_finite_amplitudes(fuzz_dir, amps):
+    # The writers read only n, d and the amplitudes, so floats that no
+    # normalized state holds (1e16) are pinned through a stand-in.
+    n, d = amps.shape
+    assert_canonical(SimpleNamespace(n=n, d=d, amplitudes=amps), fuzz_dir / "canonical.json")
+
+
+@settings(max_examples=100, deadline=None)
+@example(n=1, d=1, seed=0)
+@example(n=1, d=8, seed=0)
+@example(n=8, d=1, seed=0)
+@given(n=st.integers(1, 8), d=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_canonical_text_of_haar_states(fuzz_dir, n, d, seed):
+    assert_canonical(random_haar_state(n, d, seed), fuzz_dir / "canonical.json")
 
 
 def test_analyze_report_fields():
