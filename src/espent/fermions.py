@@ -15,10 +15,10 @@ occupation of a mode is zero by construction.
 
 Behind the splitter the same-port blocks are +-(1/2) Y, with
 Y[a, b, i1, i2] = psi[a, i1] psi[b, i2] - psi[b, i1] psi[a, i2] the 2x2
-minors of psi (the coordinates of its exterior square).  Y is antisymmetric
-in (a, b) and in (i1, i2), so fermionic_encoding_probability evaluates only
-the distinct minors, a < b and i1 < i2, and the bunching weight is the sum
-of their |Y|^2 (Cauchy-Binet: this is e_2).  It forms no port block.
+minors of psi; the bunching weight, sum |Y|^2 over a < b and i1 < i2, is e_2
+(Cauchy-Binet).  Per row pair that sum is ||psi_a ^ psi_b||^2 (Lagrange): the
+squared base ||psi_a||^2 times the squared height of psi_b above psi_a.
+fermionic_encoding_probability sums these areas over the smaller side of psi.
 """
 
 from __future__ import annotations
@@ -36,12 +36,12 @@ IN_PORTS = (1, 2)
 OUT_PORTS = (3, 4)
 
 # Largest n*d simulated.  A whole port block holds (n*d)^2 amplitudes (256 MiB
-# at 64x64); fermionic_encoding_probability holds a few chunks of d columns.
+# at 64x64); fermionic_encoding_probability holds a few chunks of projected rows.
 MAX_STATE_SIZE = 64 * 64
 
-# Amplitudes per chunk of fermionic_encoding_probability (256 KiB): a chunk
-# holds the d environment columns of max(1, _TILE // d) level pairs.
-_TILE = 1 << 14
+# Amplitudes per chunk of fermionic_encoding_probability (64 KiB of projected rows):
+# with 2^14 the larger temporaries' page faults made a 32x32 call twice as slow.
+_TILE = 1 << 12
 
 # 50:50 convention: a+_(1) -> (b+_(3) - b+_(4)) / sqrt(2),
 #                   a+_(2) -> (b+_(3) + b+_(4)) / sqrt(2), level-preserving.
@@ -92,7 +92,7 @@ def build_two_copy_state(state: PureBipartiteState) -> TwoFermionJointState:
     Copy c contributes a+_(j)^(c) with environment |j psi>; the joint term
     for (j1, j2) carries |j1 psi> (x) |j2 psi>.
     """
-    _check_size(state)
+    check_bunching_size(state)
     psi = state.amplitudes
     return TwoFermionJointState(d=state.d, terms={(1, 2): np.einsum("ai,bk->abik", psi, psi)})
 
@@ -144,32 +144,30 @@ def bunching_probability(js_out: TwoFermionJointState) -> float:
 def fermionic_encoding_probability(state: PureBipartiteState) -> float:
     """Full protocol: the bunching weight of two copies behind the splitter.
 
-    The same-port output blocks are (3, 3) = (1/2) Y and (4, 4) = -(1/2) Y,
-    Y the 2x2 minors of psi (pinned by tests/test_fermions.py::
-    test_same_port_blocks_are_half_minors).  Y is antisymmetric in the level
-    pair and in the environment pair, so the weight ||Y||^2 / 4 is the sum
-    of |Y[a, b, i1, i2]|^2 over a < b and i1 < i2, each distinct minor
-    evaluated once.  Level pairs go in chunks of max(1, _TILE // d);
-    for each i1 one row of minors i2 > i1 is formed and summed.
+    Sums ||psi_a||^2 ||psi_b - c psi_a||^2 over row pairs a < b, with
+    c = <psi_a, psi_b> / ||psi_a||^2 read off the Gram (an error in c enters only
+    at second order).  psi^T has the same weight, so the rows are the smaller
+    side: O(min(n, d)^2 max(n, d)) work, max(1, _TILE // max(n, d)) rows a chunk.
     """
-    _check_size(state)
-    psi = state.amplitudes
-    n, d = psi.shape
-    rows_a, rows_b = np.triu_indices(n, 1)
-    step = max(1, _TILE // d)
-    partials = []
+    check_bunching_size(state)
+    psi = state.amplitudes if state.n <= state.d else state.amplitudes.T
+    gram = psi.conj() @ psi.T
+    norms = gram.diagonal().real
+    rows_a, rows_b = np.triu_indices(len(psi), 1)
+    # A zero row has zero overlaps: its pairs get c = 0 and weigh 0.
+    coefs = gram[rows_a, rows_b] / np.maximum(norms[rows_a], np.finfo(float).tiny)
+    step = max(1, _TILE // psi.shape[1])
+    areas = []
     for s in range(0, len(rows_a), step):
-        # (d, c) columns: p[i, k] = psi[a_k, i] and q[i, k] = psi[b_k, i]
-        p = psi[rows_a[s : s + step]].T.copy()
-        q = psi[rows_b[s : s + step]].T.copy()
-        for i in range(d - 1):
-            y = p[i] * q[i + 1 :]
-            y -= q[i] * p[i + 1 :]
-            partials.append(np.vdot(y, y).real)
-    return math.fsum(partials)
+        a = rows_a[s : s + step]
+        height = psi[rows_b[s : s + step]]
+        height -= coefs[s : s + step, None] * psi[a]
+        squares = np.square(height.view(float), out=height.view(float))
+        areas.extend((norms[a] * squares.sum(axis=1)).tolist())
+    return math.fsum(areas)
 
 
-def _check_size(state: PureBipartiteState) -> None:
+def check_bunching_size(state: PureBipartiteState) -> None:
     if state.n * state.d > MAX_STATE_SIZE:
         raise TooLargeError(
             f"n*d = {state.n * state.d} exceeds {MAX_STATE_SIZE} for the bunching simulation"

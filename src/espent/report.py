@@ -21,7 +21,7 @@ from .entropy import (
     von_neumann_series,  # noqa: F401  the benchmark tracer (bench/spans.py) wraps this name
 )
 from .errors import DimensionMismatchError, InvalidOptionError, TooLargeError
-from .fermions import fermionic_encoding_probability
+from .fermions import check_bunching_size, fermionic_encoding_probability
 from .states import PureBipartiteState, Spectrum, eigvalsh_spectra, gram_matrix, schmidt_spectra
 from .states import reduced_density_matrix, spectrum  # noqa: F401  bench/spans.py wraps these
 from .volumes import (
@@ -97,6 +97,8 @@ def analyze_batch(states, options: AnalysisOptions | None = None) -> list[Analys
         raise DimensionMismatchError(f"analyze_batch needs states of one shape, got {got}")
     if options is None:
         options = AnalysisOptions()
+    if options.simulate_bunching:
+        check_bunching_size(states[0])  # refused before the SVD and eigvalsh
     amps = np.array([state.amplitudes for state in states])
     n, d = amps.shape[1:]
     side = amps if n <= d else amps.swapaxes(1, 2)

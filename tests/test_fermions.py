@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import mpmath as mp
@@ -162,10 +163,11 @@ def _whole_block_probability(s):
     return bunching_probability(beamsplitter_transform(build_two_copy_state(s)))
 
 
-# fermionic_encoding_probability takes max(1, _TILE // d) level pairs per
-# chunk.  A budget of 7 or 50 amplitudes gives one pair per chunk for d > 7
-# or d > 25 and ragged last chunks below; _TILE holds all C(n, 2) pairs in
-# one chunk at these sizes; tile 1 (the property test) always gives one pair.
+# fermionic_encoding_probability takes max(1, _TILE // max(n, d)) row pairs
+# of the smaller side per chunk.  A budget of 7 or 50 amplitudes gives one
+# pair per chunk for max(n, d) > 7 or > 25 and ragged last chunks below;
+# _TILE holds all pairs in one chunk up to 16x16 and about a quarter of them
+# at 32x32; tile 1 (the property test) always gives one pair.
 # At 16 and 32 a whole block holds 2^16 to 2^20 amplitudes, where a plain
 # sum loses digits.
 @pytest.mark.parametrize("tile", [7, 50, espent.fermions._TILE])
@@ -206,6 +208,38 @@ def test_tiled_protocol_peak_memory(n):
     assert p == pytest.approx(esp_from_spectrum(schmidt_spectrum(s))[2], abs=1e-13)
 
 
+@pytest.mark.parametrize("n, d", [(4096, 1), (1, 4096), (2048, 2), (2, 2048)])
+def test_tall_and_wide_states_peak_memory(n, d):
+    # Rows are paired on the smaller side: a 2048x2 state is one pair of
+    # 2048-amplitude rows, not two million pairs of levels, and a 4096x1
+    # state has no pair at all.
+    s = random_haar_state(n, d, seed=n + d)
+    tracemalloc.start()
+    try:
+        p = fermionic_encoding_probability(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+    if min(n, d) == 1:
+        assert p == 0.0
+    else:
+        assert p == pytest.approx(_minors_probability(s.amplitudes), rel=1e-14, abs=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 24), d=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
+def test_transposed_state_bunches_alike_property(n, d, seed):
+    # The weight is symmetric under psi -> psi^T, which decides the side whose
+    # rows are paired; a zero row adds no area.  The minors sum is the oracle.
+    s = random_haar_state(n, d, seed)
+    p = fermionic_encoding_probability(s)
+    assert abs(fermionic_encoding_probability(validate_state(s.amplitudes.T)) - p) <= 1e-15
+    padded = validate_state(np.insert(s.amplitudes, seed % (n + 1), 0.0, axis=0))
+    assert abs(fermionic_encoding_probability(padded) - p) <= 1e-15
+    assert abs(_minors_probability(s.amplitudes) - p) <= 1e-15
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 @pytest.mark.parametrize("d", range(1, 6))
 def test_transform_matches_dense_reference_haar(n, d):
@@ -240,8 +274,8 @@ def _minors(psi):
 @pytest.mark.parametrize("n, d", [(1, 3), (3, 1), (2, 2), (3, 4), (5, 3), (6, 6)])
 def test_same_port_blocks_are_half_minors(n, d):
     # The same-port blocks are +-1/2 the 2x2 minors of psi, antisymmetric in
-    # (a, b) and in (i1, i2): the four copies of each distinct minor a < b,
-    # i1 < i2 are what fermionic_encoding_probability counts once.
+    # (a, b) and in (i1, i2): the weight is the sum over the distinct minors
+    # a < b, i1 < i2, which fermionic_encoding_probability reads as areas.
     s = random_haar_state(n, d, seed=10 * n + d + 700)
     y = _minors(s.amplitudes)
     out = beamsplitter_transform(build_two_copy_state(s))
@@ -254,6 +288,26 @@ def test_same_port_blocks_are_half_minors(n, d):
     weight = sum(abs(y[p, q, j, k]) ** 2 for p, q in zip(a, b) for j, k in zip(i1, i2))
     assert fermionic_encoding_probability(s) == pytest.approx(weight, rel=1e-14, abs=0.0)
     assert bunching_probability(out) == pytest.approx(weight, rel=1e-14, abs=1e-30)
+    assert _minors_probability(s.amplitudes) == pytest.approx(weight, rel=1e-14, abs=0.0)
+
+
+def _minors_probability(psi):
+    """The bunching weight minor by minor: each distinct 2x2 minor a < b,
+    i1 < i2 once, in chunks of max(1, 2^14 // d) level pairs, one row of minors
+    i2 > i1 per i1 and chunk.  O(n^2 d^2); an oracle for the area sum."""
+    n, d = psi.shape
+    rows_a, rows_b = np.triu_indices(n, 1)
+    step = max(1, (1 << 14) // d)
+    partials = []
+    for s in range(0, len(rows_a), step):
+        # (d, c) columns: p[i, k] = psi[a_k, i] and q[i, k] = psi[b_k, i]
+        p = psi[rows_a[s : s + step]].T.copy()
+        q = psi[rows_b[s : s + step]].T.copy()
+        for i in range(d - 1):
+            y = p[i] * q[i + 1 :]
+            y -= q[i] * p[i + 1 :]
+            partials.append(np.vdot(y, y).real)
+    return math.fsum(partials)
 
 
 @pytest.mark.parametrize("n, d", [(1, 1), (1, 5), (1, 64), (5, 1), (64, 1), (4096, 1)])
@@ -336,9 +390,9 @@ def test_bunching_matches_e2():
 
 
 
-def _e2_mpmath(psi):
-    """e_2 of rho = psi psi^dagger, ((tr rho)^2 - tr rho^2) / 2, at 40 digits."""
-    with mp.workdps(40):
+def _e2_mpmath(psi, dps=40):
+    """e_2 of rho = psi psi^dagger, ((tr rho)^2 - tr rho^2) / 2, at dps digits."""
+    with mp.workdps(dps):
         rows = [[mp.mpc(z) for z in row] for row in psi.tolist()]
         tr = mp.fsum(abs(z) ** 2 for row in rows for z in row)
         # tr rho^2: the diagonal once, each upper off-diagonal |rho_ab|^2 twice
@@ -353,8 +407,8 @@ def test_whole_block_bunching_is_unbiased_against_mpmath():
     # Rounded (1/sqrt 2)^2 splitter factors read every one of these e_2 low,
     # by 2.7e-16 to 5.7e-16 relative; with an exact 0.5 only rounding noise
     # of either sign is left.
-    # The production route sums each distinct minor once and must be as
-    # unbiased, and within a few ulp of each state's 40-digit e_2.
+    # The production route sums the row pairs' areas and must be as unbiased,
+    # and within a few ulp of each state's 40-digit e_2.
     errors, production = [], []
     for n in (16, 32):
         for seed in range(1, 9):
@@ -366,6 +420,26 @@ def test_whole_block_bunching_is_unbiased_against_mpmath():
         assert min(errs) < 0.0 < max(errs)
         assert abs(np.mean(errs)) <= 1e-16
     assert max(map(abs, production)) <= 3e-16
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10])
+def test_near_product_bunching_is_as_accurate_as_the_minors_sum(eps):
+    # 8x8 states u v^T + eps z have e_2 near 5e-5 eps^2.  The height of psi_b
+    # above psi_a and a 2x2 minor both come out of a cancellation, so both
+    # routes lose the same digits: about 7e-16 relative at eps = 1e-2, 8e-8 at
+    # eps = 1e-10.  The areas may be at most 4x worse than the minors.
+    areas, minors = [], []
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        z = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        s = validate_state(np.outer(u, v) + eps * z, renormalize=True)
+        ref = _e2_mpmath(s.amplitudes, dps=50)
+        areas.append(abs(float((fermionic_encoding_probability(s) - ref) / ref)))
+        minors.append(abs(float((_minors_probability(s.amplitudes) - ref) / ref)))
+    assert max(areas) <= 4 * max(minors)
+
 
 def test_bunching_probability_range():
     for seed in range(10):

@@ -14,6 +14,7 @@ from espent import (
     AnalysisOptions,
     DimensionMismatchError,
     Spectrum,
+    TooLargeError,
     analyze,
     analyze_batch,
     esp_from_spectrum,
@@ -128,6 +129,18 @@ def test_batch_refuses_states_of_different_shapes():
 def test_batch_refuses_an_empty_list():
     with pytest.raises(DimensionMismatchError, match="no states"):
         analyze_batch([])
+
+
+@pytest.mark.parametrize("n, d", [(65, 64), (1, 4097), (512, 512)])
+def test_oversized_bunching_is_refused_before_the_svd(monkeypatch, n, d):
+    def refuse(_):
+        raise AssertionError("the spectra were computed before the size check")
+
+    monkeypatch.setattr(espent.report, "schmidt_spectra", refuse)
+    monkeypatch.setattr(espent.report, "eigvalsh_spectra", refuse)
+    states = [random_haar_state(n, d, seed) for seed in range(2)]
+    with pytest.raises(TooLargeError, match=f"n\\*d = {n * d} exceeds 4096"):
+        analyze_batch(states, AnalysisOptions(simulate_bunching=True))
 
 
 @pytest.mark.parametrize("n, d", [(9, 3), (3, 9), (64, 2)])
