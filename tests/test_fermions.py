@@ -166,11 +166,12 @@ def _whole_block_probability(s):
 # fermionic_encoding_probability takes max(1, _TILE // max(n, d)) row pairs
 # of the smaller side per chunk.  A budget of 7 or 50 amplitudes gives one
 # pair per chunk for max(n, d) > 7 or > 25 and ragged last chunks below;
-# _TILE holds all pairs in one chunk up to 16x16 and about a quarter of them
-# at 32x32; tile 1 (the property test) always gives one pair.
+# _TILE (2^12) holds all pairs in one chunk up to 16x16 and about a quarter
+# of them at 32x32, 2^14 all of them at 32x32 too; tile 1 (the property test)
+# always gives one pair.
 # At 16 and 32 a whole block holds 2^16 to 2^20 amplitudes, where a plain
 # sum loses digits.
-@pytest.mark.parametrize("tile", [7, 50, espent.fermions._TILE])
+@pytest.mark.parametrize("tile", [7, 50, 1 << 14, espent.fermions._TILE])
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 9, 16, 32])
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 9, 16, 32])
 def test_tiled_protocol_matches_whole_blocks(monkeypatch, tile, n, d):
