@@ -95,22 +95,33 @@ def q_tilde(esp: ESPVector) -> float:
 
 
 def renyi_entropy(spec: Spectrum, alpha: float) -> float:
-    """(1 / (1 - alpha)) ln sum_j lambda_j^alpha for alpha > 0, alpha != 1.
+    """(1 / (1 - alpha)) ln sum_j lambda_j^alpha: renyi_heads of one spectrum."""
+    return renyi_heads([spec.eigenvalues[: spec.rank]], alpha)[0]
 
-    Taken as (alpha ln lambda_1 + ln(1 + sum_{j>1} (lambda_j / lambda_1)^alpha))
-    / (1 - alpha) over lambda_j > 0, lambda_1 the largest: no power underflows
-    however large alpha is, and log1p keeps the small sums of near-pure states.
-    """
+
+def renyi_heads(heads, alpha: float) -> list[float]:
+    """Renyi entropy of order alpha > 0, alpha != 1, of each head (the nonzero eigenvalues
+    of a checked spectrum, descending), as (alpha ln lambda_1 + ln(1 + sum_{j>1}
+    (lambda_j / lambda_1)^alpha)) / (1 - alpha): no power underflows however large
+    alpha is, and log1p keeps the small sums of near-pure states."""
     if not 0.0 < alpha < math.inf or alpha == 1.0:
         raise InvalidOrderError(f"alpha={alpha}; need finite alpha > 0 and alpha != 1")
-    top, *rest = spec.eigenvalues[: spec.rank]
-    tail = math.fsum((lam / top) ** alpha for lam in rest)
-    return 0.0 - (alpha * math.log(top) + math.log1p(tail)) / (alpha - 1.0)  # +0.0 when pure
+    out = []
+    for top, *rest in heads:
+        tail = math.fsum([(x / top) ** alpha for x in rest])
+        out.append(0.0 - (alpha * math.log(top) + math.log1p(tail)) / (alpha - 1.0))  # +0.0 if pure
+    return out
 
 
 def von_neumann_direct(spec: Spectrum) -> float:
-    """-sum lambda ln lambda with 0 ln 0 = 0; the ground-truth oracle."""
-    return 0.0 - math.fsum(lam * math.log(lam) for lam in spec.eigenvalues[: spec.rank])
+    """-sum lambda ln lambda with 0 ln 0 = 0: von_neumann_heads of one spectrum."""
+    return von_neumann_heads([spec.eigenvalues[: spec.rank]])[0]
+
+
+def von_neumann_heads(heads) -> list[float]:
+    """-sum lambda ln lambda, exactly rounded, of each head (nonzero eigenvalues); the
+    ground-truth oracle."""
+    return [0.0 - math.fsum([x * math.log(x) for x in head]) for head in heads]
 
 
 # ---------------------------------------------------------------------------
@@ -156,16 +167,15 @@ def purities_from_esp(esp: ESPVector, K: int) -> PuritySequence:
 
 
 def purities_from_spectrum(spec: Spectrum, K: int) -> PuritySequence:
-    """Tr(rho^k) = sum_j lambda_j^k for k = 1..K, each sum exactly rounded.
+    """purity_heads of one spectrum.  K < 1 gives no purity: OrderOutOfRangeError."""
+    return PuritySequence(values=tuple(purity_heads([spec.eigenvalues[: spec.rank]], K)[0]))
 
-    The route analyze uses: K powers of each of the rank nonzero eigenvalues,
-    where the partition formula's cost grows exponentially in K.
-    K < 1 gives no purity: OrderOutOfRangeError.
-    """
-    head = spec.eigenvalues[: spec.rank]
-    return PuritySequence(
-        values=tuple(math.fsum(lam**k for lam in head) for k in range(1, K + 1))
-    )
+
+def purity_heads(heads, K: int) -> list[list[float]]:
+    """Tr(rho^k) = sum_j lambda_j^k for k = 1..K, exactly rounded, of each head (nonzero
+    eigenvalues): the route analyze uses.  One power at a time keeps memory flat up to
+    MAX_K; the partition formula's cost grows exponentially in K."""
+    return [[math.fsum([x**k for x in head]) for k in range(1, K + 1)] for head in heads]
 
 
 def purities_recurrence(esp: ESPVector, K: int) -> PuritySequence:

@@ -7,27 +7,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import (
-    SeriesResult,
-    linear_entropy,
-    purities_from_esp,  # noqa: F401  the benchmark tracer (bench/spans.py) wraps this name
-    purities_from_spectrum,
-    purities_recurrence,  # noqa: F401  the benchmark tracer (bench/spans.py) wraps this name
-    q_tilde,
-    renyi_entropy,
-    s_r_truncated,  # noqa: F401  the benchmark tracer (bench/spans.py) wraps this name
-    truncated_entropies,
-    von_neumann_direct,
-    von_neumann_series,  # noqa: F401  the benchmark tracer (bench/spans.py) wraps this name
-)
+from .entropy import SeriesResult, purity_heads, renyi_heads, truncated_entropies, von_neumann_heads
 from .errors import DimensionMismatchError, InvalidOptionError, TooLargeError
 from .fermions import check_bunching_size, fermionic_encoding_probability
-from .states import PureBipartiteState, Spectrum, eigvalsh_spectra, gram_matrix, schmidt_spectra
-from .states import reduced_density_matrix, spectrum  # noqa: F401  bench/spans.py wraps these
-from .volumes import (
-    esp_from_charpoly,  # noqa: F401  the benchmark tracer (bench/spans.py) wraps this name
-    esp_from_spectrum,
-)
+from .states import PureBipartiteState, eigvalsh_spectra, gram_matrix, schmidt_spectra
+from .states import spectra_ranks
+from .volumes import ESPVector, check_esps, esp_heads
+
+# The benchmark tracer (bench/spans.py) wraps these names, which analyze does not call.
+from .entropy import purities_from_esp, purities_recurrence, renyi_entropy  # noqa: F401
+from .entropy import s_r_truncated, von_neumann_direct, von_neumann_series  # noqa: F401
+from .states import reduced_density_matrix, spectrum  # noqa: F401
+from .volumes import esp_from_charpoly, esp_from_spectrum  # noqa: F401
 
 SCHEMA_VERSION = 5
 # Purities cost time and memory linear in k_max: over 2^16 purities of an 8 x 8
@@ -87,78 +78,72 @@ def analyze(state: PureBipartiteState, options: AnalysisOptions | None = None) -
 def analyze_batch(states, options: AnalysisOptions | None = None) -> list[AnalysisReport]:
     """Run the full measurement stack on each of a nonempty list of same-shape states.
 
-    The SVD, Gram rho and eigvalsh run once on the stack, the rest per state.  The ESPs
-    and purities come from the squared singular values of psi (accurate when small); the
-    ESPs are checked against those of eigvalsh(rho), and the largest gap is reported.
-    rho is the Gram of the smaller side, its spectrum padded with exact zeros to n."""
+    All but the S_r eigensolve and the report dicts run once on the stack.  The ESPs and
+    purities come from the squared singular values of psi (accurate when small); the ESPs
+    are checked against those of eigvalsh(rho), and the largest gap is reported.  rho is
+    the Gram of the smaller side, its spectrum padded with exact zeros to n."""
     shapes = {state.amplitudes.shape for state in states}
     if len(shapes) != 1:
         got = f"shapes {sorted(shapes)}" if shapes else "no states"
         raise DimensionMismatchError(f"analyze_batch needs states of one shape, got {got}")
-    if options is None:
-        options = AnalysisOptions()
+    options = options or AnalysisOptions()
     if options.simulate_bunching:
         check_bunching_size(states[0])  # refused before the SVD and eigvalsh
     amps = np.array([state.amplitudes for state in states])
-    n, d = amps.shape[1:]
+    B, n, d = amps.shape
     side = amps if n <= d else amps.swapaxes(1, 2)
     step = max(1, 2**16 // min(n, d) ** 2)  # a chunk's rho stack holds about 1 MiB
-    eig = np.zeros((len(amps), n))  # the n - d eigenvalues past the smaller side are 0
-    for i in range(0, len(amps), step):
-        eig[i : i + step, : side.shape[1]] = eigvalsh_spectra(gram_matrix(side[i : i + step]))
-    return [
-        _report(state, Spectrum(eigenvalues=lam), Spectrum(eigenvalues=e), options)
-        for state, lam, e in zip(states, schmidt_spectra(amps).tolist(), eig.tolist())
-    ]
+    lam = np.zeros((2 * B, n))  # the SVD's spectra, then eigvalsh's: 0 past the smaller side
+    lam[:B] = schmidt_spectra(amps)
+    for i in range(0, B, step):
+        lam[B + i : B + i + step, : min(n, d)] = eigvalsh_spectra(gram_matrix(side[i : i + step]))
+    rows, rank = lam.tolist(), spectra_ranks(lam)
+    heads = [row[:r] for row, r in zip(rows, rank)]
+    esp = esp_heads(heads, n)
+    check_esps(esp[:, : max(rank)], n)  # e_k past the rank are exact zeros
+    routes = np.abs(esp[:B] - esp[B:]).max(axis=1).tolist()
+    heads = heads[:B]
+    renyi = zip(*[renyi_heads(heads, a) for a in options.alphas])
+    purities, vn = purity_heads(heads, options.k_max), von_neumann_heads(heads)
+    reports = zip(states, rows, rank, esp[:B].tolist(), purities, vn, renyi, routes)  # B of 2B
+    return [_report(*row, options) for row in reports]
 
 
-def _report(state, spec: Spectrum, spec_eig: Spectrum, options: AnalysisOptions) -> AnalysisReport:
+def _report(state, spec, rank, esp, purities, vn, renyi, routes, options) -> AnalysisReport:
     n = state.n
     r_max = min(options.r_max or 4, n)
-    esp = esp_from_spectrum(spec)
-    purities = purities_from_spectrum(spec, options.k_max)
+    e_2 = esp[1] if n > 1 else 0.0
 
     # S_1 = -e_1 ln e_1 = 0.  From the rank on, e_r = 0 leaves S_r = S, summed over
     # the spectrum; the orders between are one eigensolve.
-    vn_direct = von_neumann_direct(spec)
-    series = dict.fromkeys(range(spec.rank, r_max + 1), SeriesResult(vn_direct, True))
+    series = dict.fromkeys(range(rank, r_max + 1), SeriesResult(vn, True))
     series[1] = SeriesResult(0.0, True)
-    orders = range(2, min(r_max + 1, spec.rank))
-    series.update(zip(orders, truncated_entropies(esp, orders) if orders else ()))
+    orders = range(2, min(r_max + 1, rank))
+    series.update(zip(orders, truncated_entropies(ESPVector(n, esp), orders) if orders else ()))
     reported = range(1, r_max + 1)
 
     entropies = {
-        "linear": linear_entropy(esp),
-        "q_tilde": q_tilde(esp),
-        "renyi": {repr(a): renyi_entropy(spec, a) for a in options.alphas},
+        "linear": 2.0 * e_2,
+        "q_tilde": e_2,
+        "renyi": {repr(a): value for a, value in zip(options.alphas, renyi)},
         "s_r": {str(r): series[r].value for r in reported},
-        "von_neumann_series": vn_direct,
-        "von_neumann_direct": vn_direct,
+        "von_neumann_series": vn,
+        "von_neumann_direct": vn,
     }
     convergence = {
         "von_neumann_series": {"converged": True},
         "s_r": {str(r): {"converged": series[r].converged} for r in reported},
     }
 
-    bunching = None
-    if options.simulate_bunching:
-        bunching = {"p_bunch": fermionic_encoding_probability(state)}
+    sim = options.simulate_bunching
+    bunching = {"p_bunch": fermionic_encoding_probability(state)} if sim else None
 
-    esp_eig = esp_from_spectrum(spec_eig).values
     residuals = {
-        "esp_routes_max": max(abs(x - y) for x, y in zip(esp.values, esp_eig)),
-        "bunching_vs_e2": abs(bunching["p_bunch"] - esp[2]) if bunching else None,
+        "esp_routes_max": routes,
+        "bunching_vs_e2": abs(bunching["p_bunch"] - e_2) if bunching else None,
     }
 
     return AnalysisReport(
-        n=n,
-        d=state.d,
-        spectrum=spec.eigenvalues,
-        esp=esp.values,
-        purities=purities.values,
-        entropies=entropies,
-        bunching=bunching,
-        convergence=convergence,
-        residuals=residuals,
+        n=n, d=state.d, spectrum=tuple(spec), esp=tuple(esp), purities=tuple(purities),
+        entropies=entropies, bunching=bunching, convergence=convergence, residuals=residuals,
     )
-

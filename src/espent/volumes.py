@@ -11,6 +11,7 @@ via Faddeev-LeVerrier.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -34,23 +35,10 @@ class ESPVector:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
+        vals = tuple(map(float, self.values))
         if not 1 <= len(vals) <= self.n:
-            raise OrderOutOfRangeError(
-                f"need 1..n={self.n} values, got {len(vals)}"
-            )
-        if not all(map(math.isfinite, vals)):
-            raise ValueError("ESPs hold a NaN or infinite value")
-        if abs(vals[0] - 1.0) > 1e-10:
-            raise ValueError(f"e_1 = {vals[0]} is not 1 (trace normalization)")
-        for k, v in enumerate(vals, start=1):
-            if v < -1e-10:
-                raise ValueError(f"e_{k} = {v} is negative")
-            if v <= 1e-10:  # within 1e-10 of every bound, which is positive
-                continue
-            bound = math.comb(self.n, k) / self.n**k
-            if v > bound + 1e-10:
-                raise ValueError(f"e_{k} = {v} violates the Maclaurin bound {bound}")
+            raise OrderOutOfRangeError(f"need 1..n={self.n} values, got {len(vals)}")
+        check_esps(np.array([vals]), self.n)
         object.__setattr__(self, "values", vals)
 
     def __getitem__(self, r: int) -> float:
@@ -99,20 +87,46 @@ def volume_r_brute(v: np.ndarray, r: int) -> float:
     return math.fsum(terms)
 
 
-def esp_from_spectrum(spec: Spectrum) -> ESPVector:
-    """e_1 ... e_n via the stable add-one-eigenvalue recurrence.
+@functools.lru_cache(maxsize=64)
+def _esp_limits(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Accepted e_1 ... e_m: 1 -+ 1e-10, then -1e-10 to C(n, k) / n^k + 1e-10 (Maclaurin)."""
+    k = np.arange(1, m + 1)
+    return np.where(k == 1, 1.0 - 1e-10, -1e-10), np.cumprod((n + 1 - k) / (n * k)) + 1e-10
 
-    Updates run over k in descending order so each eigenvalue is absorbed
-    in place; every addition is of nonnegative terms, so there is no
-    cancellation.  The j-th eigenvalue reaches e_j..e_1 only, and only the
-    rank nonzero eigenvalues run: e_k = 0 exactly for k > rank.
-    """
-    n = len(spec)
-    e = [1.0] + [0.0] * n  # e[0] = e_0
-    for j, lam in enumerate(spec.eigenvalues[: spec.rank], start=1):  # already descending
-        for k in range(j, 0, -1):
-            e[k] += lam * e[k - 1]
-    return ESPVector(n=n, values=tuple(e[1:]))
+
+def check_esps(e: np.ndarray, n: int) -> None:
+    """ESPVector's invariants on a (B, m) stack of e_1 ... e_m of length-n spectra."""
+    low, high = _esp_limits(n, e.shape[1])
+    if not ((e >= low) & (e <= high)).all():  # a NaN fails both
+        if not np.isfinite(e).all():
+            raise ValueError("ESPs hold a NaN or infinite value")
+        b, k = map(int, np.argwhere((e < low) | (e > high))[0])
+        if k == 0:
+            raise ValueError(f"e_1 = {e[b, 0]} is not 1 (trace normalization)")
+        bound = math.comb(n, k + 1) / n ** (k + 1)
+        what = "is negative" if e[b, k] < 0 else f"violates the Maclaurin bound {bound}"
+        raise ValueError(f"e_{k + 1} = {e[b, k]} {what}")
+
+
+def esp_heads(heads, n: int) -> np.ndarray:
+    """e_1 ... e_n of each head (the nonzero eigenvalues of a checked length-n spectrum,
+    descending) as a (B, n) array: the stable add-one-eigenvalue recurrence, k descending,
+    adds only nonnegative terms.  A scalar loop per head beats one numpy update per index
+    across the stack at B = 1.  e_k = 0 exactly past the head."""
+    e = np.zeros((len(heads), n))
+    for head, out in zip(heads, e):
+        acc = [1.0] + [0.0] * len(head)  # acc[0] = e_0
+        for j, x in enumerate(head, start=1):
+            for k in range(j, 0, -1):
+                acc[k] += x * acc[k - 1]
+        out[: len(head)] = acc[1:]
+    return e
+
+
+def esp_from_spectrum(spec: Spectrum) -> ESPVector:
+    """esp_heads of one spectrum."""
+    e = esp_heads([spec.eigenvalues[: spec.rank]], len(spec))[0]
+    return ESPVector(n=len(spec), values=tuple(e.tolist()))
 
 
 def esp_from_charpoly(rho: ReducedDensityMatrix) -> ESPVector:

@@ -43,7 +43,14 @@ def _state(kind, n, d, rng):
 
 @st.composite
 def stacks(draw):
-    n, d = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    # Squares and near-squares to 8 x 8, and elongated shapes with a short side to 4 and
+    # a long side to 64 either way round: both sides of schmidt_spectra's QR_RATIO rule.
+    if draw(st.booleans()):
+        n, d = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    else:
+        n, d = draw(st.integers(1, 4)), draw(st.integers(1, 64))
+        if draw(st.booleans()):
+            n, d = d, n
     kinds = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     # Unnormalized rows, so each carries its own renormalization factor

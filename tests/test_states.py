@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import espent
 from espent import (
     DimensionMismatchError,
     IndefiniteMatrixError,
@@ -254,3 +260,49 @@ def test_state_type_refuses_non_finite_or_unnormalized_amplitudes(amplitudes):
         PureBipartiteState(n=2, d=2, amplitudes=np.array(amplitudes, dtype=complex))
     state = PureBipartiteState(n=2, d=2, amplitudes=np.eye(2) / np.sqrt(2.0) * (1.0 + 1e-12))
     assert state.renorm_factor == 1.0
+
+
+@pytest.mark.parametrize("n, d", [(2, 256), (4, 128), (2048, 2)])
+def test_r_factor_route_keeps_small_schmidt_values_of_near_product_states(monkeypatch, n, d):
+    # Elongated states take the SVD of psi's R factor.  Householder QR is backward
+    # stable, so sigma_min stays within ~eps * sigma_max: lambda_min = sigma_min^2 within
+    # ~eps * sqrt(lambda_min).  The reference is the smaller side's Gram at 60 digits.
+    mpmath = pytest.importorskip("mpmath")
+    calls, qr = [], np.linalg.qr
+
+    def spy(a, mode):
+        calls.append((a.shape, mode))
+        return qr(a, mode)
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    rng = np.random.default_rng(3)
+    gauss = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    u, v, z = gauss(n), gauss(d), gauss(n, d)
+    worst = 0.0
+    with mpmath.workdps(60):
+        for eps in [10.0**-k for k in range(2, 15, 2)]:
+            state = validate_state(np.outer(u, v) + eps * z, renormalize=True)
+            lam = schmidt_spectrum(state).eigenvalues[min(n, d) - 1]
+            psi = state.amplitudes if n <= d else state.amplitudes.T
+            rows = [[mpmath.mpc(complex(x)) for x in row] for row in psi]
+            gram = mpmath.matrix(
+                [[mpmath.fsum(x * mpmath.conj(y) for x, y in zip(a, b)) for b in rows] for a in rows]
+            )
+            ref = mpmath.eighe(gram, eigvals_only=True)
+            exact = min(ref) / mpmath.fsum(ref)
+            worst = max(worst, float(abs(lam - exact) / mpmath.sqrt(exact)))
+    assert calls == [((1, max(n, d), min(n, d)), "r")] * 7
+    assert worst <= 1e-16
+
+
+def test_random_state_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # validate_state's norm is summed by einsum: a BLAS dot sums 2 x 128^2 squares in
+    # an order set by the thread count, which changed every amplitude's last bits.
+    src = str(Path(espent.__file__).resolve().parents[1])
+    files = []
+    for threads in ("1", "2"):
+        files.append(tmp_path / f"threads-{threads}.json")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        cmd = ["random", "--n", "128", "--d", "128", "--seed", "1", "-o", str(files[-1])]
+        subprocess.run([sys.executable, "-m", "espent.cli", *cmd], env=env, check=True)
+    assert files[0].read_bytes() == files[1].read_bytes()
