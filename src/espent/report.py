@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import SeriesResult, purity_heads, renyi_heads, truncated_entropies, von_neumann_heads
+from .entropy import SeriesResult, linear_entropy, purity_heads, q_tilde, renyi_heads
+from .entropy import truncated_entropies, von_neumann_heads
 from .errors import DimensionMismatchError, InvalidOptionError, TooLargeError
 from .fermions import check_bunching_size, fermionic_encoding_probability
 from .states import PureBipartiteState, eigvalsh_spectra, gram_matrix, schmidt_spectra
@@ -86,7 +87,8 @@ def analyze_batch(states, options: AnalysisOptions | None = None) -> list[Analys
     if len(shapes) != 1:
         got = f"shapes {sorted(shapes)}" if shapes else "no states"
         raise DimensionMismatchError(f"analyze_batch needs states of one shape, got {got}")
-    options = options or AnalysisOptions()
+    if options is None:
+        options = AnalysisOptions()
     if options.simulate_bunching:
         check_bunching_size(states[0])  # refused before the SVD and eigvalsh
     amps = np.array([state.amplitudes for state in states])
@@ -103,7 +105,8 @@ def analyze_batch(states, options: AnalysisOptions | None = None) -> list[Analys
     check_esps(esp[:, : max(rank)], n)  # e_k past the rank are exact zeros
     routes = np.abs(esp[:B] - esp[B:]).max(axis=1).tolist()
     heads = heads[:B]
-    renyi = zip(*[renyi_heads(heads, a) for a in options.alphas])
+    per_alpha = [renyi_heads(heads, a) for a in options.alphas]
+    renyi = [{repr(a): v[i] for a, v in zip(options.alphas, per_alpha)} for i in range(B)]
     purities, vn = purity_heads(heads, options.k_max), von_neumann_heads(heads)
     reports = zip(states, rows, rank, esp[:B].tolist(), purities, vn, renyi, routes)  # B of 2B
     return [_report(*row, options) for row in reports]
@@ -112,20 +115,20 @@ def analyze_batch(states, options: AnalysisOptions | None = None) -> list[Analys
 def _report(state, spec, rank, esp, purities, vn, renyi, routes, options) -> AnalysisReport:
     n = state.n
     r_max = min(options.r_max or 4, n)
-    e_2 = esp[1] if n > 1 else 0.0
+    esp = ESPVector.from_checked(n, tuple(esp))  # check_esps passed the stack
 
     # S_1 = -e_1 ln e_1 = 0.  From the rank on, e_r = 0 leaves S_r = S, summed over
     # the spectrum; the orders between are one eigensolve.
     series = dict.fromkeys(range(rank, r_max + 1), SeriesResult(vn, True))
     series[1] = SeriesResult(0.0, True)
     orders = range(2, min(r_max + 1, rank))
-    series.update(zip(orders, truncated_entropies(ESPVector(n, esp), orders) if orders else ()))
+    series.update(zip(orders, truncated_entropies(esp, orders) if orders else ()))
     reported = range(1, r_max + 1)
 
     entropies = {
-        "linear": 2.0 * e_2,
-        "q_tilde": e_2,
-        "renyi": {repr(a): value for a, value in zip(options.alphas, renyi)},
+        "linear": linear_entropy(esp),
+        "q_tilde": q_tilde(esp),
+        "renyi": renyi,
         "s_r": {str(r): series[r].value for r in reported},
         "von_neumann_series": vn,
         "von_neumann_direct": vn,
@@ -135,15 +138,23 @@ def _report(state, spec, rank, esp, purities, vn, renyi, routes, options) -> Ana
         "s_r": {str(r): {"converged": series[r].converged} for r in reported},
     }
 
-    sim = options.simulate_bunching
-    bunching = {"p_bunch": fermionic_encoding_probability(state)} if sim else None
+    bunching = None
+    if options.simulate_bunching:
+        bunching = {"p_bunch": fermionic_encoding_probability(state)}
 
     residuals = {
         "esp_routes_max": routes,
-        "bunching_vs_e2": abs(bunching["p_bunch"] - e_2) if bunching else None,
+        "bunching_vs_e2": abs(bunching["p_bunch"] - esp[2]) if bunching else None,
     }
 
     return AnalysisReport(
-        n=n, d=state.d, spectrum=tuple(spec), esp=tuple(esp), purities=tuple(purities),
-        entropies=entropies, bunching=bunching, convergence=convergence, residuals=residuals,
+        n=n,
+        d=state.d,
+        spectrum=tuple(spec),
+        esp=esp.values,
+        purities=tuple(purities),
+        entropies=entropies,
+        bunching=bunching,
+        convergence=convergence,
+        residuals=residuals,
     )

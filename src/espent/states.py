@@ -26,7 +26,10 @@ ZERO_NORM_TOL = 1e-12
 EIG_CLAMP_TOL = 1e-10
 # Most amplitudes a state, a state file or a quench's kets may hold: 2^24, 256 MiB as complex.
 MAX_AMPLITUDES = 1 << 24
-QR_RATIO = 8  # from this aspect ratio on, psi's R factor is cheaper to take the SVD of
+# From this aspect ratio and this many amplitudes per state on, the SVD of psi's R factor
+# is cheaper than psi's own: np.linalg.qr adds about 10 us a call, which a batch shares.
+# Only the state's shape decides, so a state in a batch gets the bits it gets alone.
+QR_RATIO, QR_MIN_SIZE = 8, 512
 
 
 @dataclass(frozen=True)
@@ -211,9 +214,9 @@ def schmidt_spectrum(state: PureBipartiteState) -> Spectrum:
 
 def schmidt_spectra(amps: np.ndarray) -> np.ndarray:
     """schmidt_spectrum's route on a (B, n, d) stack, one svd call: of the R factors of the
-    long-side-first matrices (Chan's R-SVD, ACM TOMS 8, 72 (1982)) from QR_RATIO on."""
+    long-side-first matrices (Chan's R-SVD, ACM TOMS 8, 72 (1982)) past QR_RATIO, QR_MIN_SIZE."""
     B, n, d = amps.shape
-    if max(n, d) >= QR_RATIO * min(n, d):
+    if max(n, d) >= QR_RATIO * min(n, d) and n * d >= QR_MIN_SIZE:
         amps = np.linalg.qr(amps if n > d else amps.swapaxes(1, 2), mode="r")
     s = np.linalg.svd(amps, compute_uv=False)
     lam = np.zeros((B, n))

@@ -41,6 +41,14 @@ class ESPVector:
         check_esps(np.array([vals]), self.n)
         object.__setattr__(self, "values", vals)
 
+    @classmethod
+    def from_checked(cls, n: int, values: tuple[float, ...]) -> ESPVector:
+        """An ESPVector of n floats that check_esps has already passed, not checked again."""
+        esp = object.__new__(cls)
+        object.__setattr__(esp, "n", n)
+        object.__setattr__(esp, "values", values)
+        return esp
+
     def __getitem__(self, r: int) -> float:
         """e_r, with e_0 = 1 and e_r = 0 beyond the stored range."""
         if r == 0:

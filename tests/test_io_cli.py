@@ -579,6 +579,15 @@ def test_cli_analyze_alpha_not_a_number(tmp_path, capsys, caplog):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("alpha", ["", ","])
+def test_cli_analyze_without_alphas(tmp_path, capsys, alpha):
+    # No Renyi order: the report is whole, its renyi empty
+    assert main(["analyze", str(bell_json(tmp_path)), "--alpha", alpha]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["entropies"]["renyi"] == {}
+    assert report["entropies"]["q_tilde"] == pytest.approx(0.25, abs=1e-12)
+
+
 def test_cli_analyze_renyi_at_huge_alpha(tmp_path, capsys):
     # Every lambda^1e6 underflows to 0; S_alpha is read relative to lambda_1.
     path = tmp_path / "h4.json"

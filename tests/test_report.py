@@ -43,12 +43,14 @@ def _state(kind, n, d, rng):
 
 @st.composite
 def stacks(draw):
-    # Squares and near-squares to 8 x 8, and elongated shapes with a short side to 4 and
-    # a long side to 64 either way round: both sides of schmidt_spectra's QR_RATIO rule.
+    # Squares and near-squares to 8 x 8, and elongated shapes either way round, a short
+    # side s to 4 and a long side to 64 or from 512 // s to 512: both sides of
+    # schmidt_spectra's QR_RATIO and QR_MIN_SIZE rule.
     if draw(st.booleans()):
         n, d = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     else:
-        n, d = draw(st.integers(1, 4)), draw(st.integers(1, 64))
+        n = draw(st.integers(1, 4))
+        d = draw(st.integers(1, 64) if draw(st.booleans()) else st.integers(512 // n, 512))
         if draw(st.booleans()):
             n, d = d, n
     kinds = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=5))
@@ -67,6 +69,15 @@ def test_batch_reports_match_analyze(stack, bunching, full_order):
     assert len(reports) == len(stack)
     for state, report in zip(states, reports):
         assert json.dumps(report.to_dict()) == json.dumps(analyze(state, options).to_dict())
+
+
+def test_reports_without_alphas_are_whole():
+    states = [random_haar_state(3, 5, seed) for seed in (1, 2)]
+    bare, full = AnalysisOptions(alphas=()), AnalysisOptions()
+    for report, ref in zip(analyze_batch(states, bare), analyze_batch(states, full)):
+        assert report.entropies["renyi"] == {}
+        assert report.esp == ref.esp and report.purities == ref.purities
+    assert analyze(states[0], bare).to_dict() == analyze_batch(states, bare)[0].to_dict()
 
 
 @st.composite

@@ -295,6 +295,13 @@ def test_r_factor_route_keeps_small_schmidt_values_of_near_product_states(monkey
     assert worst <= 1e-16
 
 
+@pytest.mark.parametrize("n, d", [(1, 8), (2, 16), (64, 2), (4, 32), (1, 511)])
+def test_small_elongated_states_keep_the_plain_svd(monkeypatch, n, d):
+    # Below QR_MIN_SIZE amplitudes the QR call costs more than it saves.
+    monkeypatch.setattr(np.linalg, "qr", lambda *args, **kwargs: pytest.fail("took the QR"))
+    assert len(schmidt_spectrum(random_haar_state(n, d, 1))) == n
+
+
 def test_random_state_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # validate_state's norm is summed by einsum: a BLAS dot sums 2 x 128^2 squares in
     # an order set by the thread count, which changed every amplitude's last bits.
