@@ -9,7 +9,7 @@ import logging
 import sys
 
 from .errors import EspentError, InvalidOrderError
-from .io import parse_state_file, serialize_state, write_state_file
+from .io import canonical_chunks, parse_state_file, write_state_file
 from .quench import QuenchConfig, quench_trajectory
 from .report import AnalysisOptions, analyze
 from .states import random_haar_state
@@ -104,7 +104,7 @@ def _cmd_random(args) -> int:
     if args.output:
         write_state_file(state, args.output)
     else:
-        sys.stdout.write(serialize_state(state))
+        sys.stdout.writelines(canonical_chunks(state))  # a row at a time, as to a file
     return EXIT_OK
 
 

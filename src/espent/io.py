@@ -1,8 +1,9 @@
 """State-file ingestion and canonical serialization.
 
-JSON is the canonical format (explicit re/im per amplitude); CSV is
-accepted for ingestion only, with row j holding the 2 d interleaved
-values re, im, re, im, ... over i.
+JSON is the canonical format. Schema 2, the one written, holds n rows of
+the 2 d interleaved floats re, im, re, im, ... over the right index, as
+CSV rows do; schema 1 (one {"re", "im"} object per amplitude) is still
+read. CSV is accepted for ingestion only.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .errors import DimensionMismatchError, ParseError, TooLargeError
 from .states import MAX_AMPLITUDES, PureBipartiteState, validate_state
 
-STATE_SCHEMA_VERSION = 1
+STATE_SCHEMA_VERSION = 2
 
 
 def state_to_dict(state: PureBipartiteState) -> dict:
@@ -28,26 +29,21 @@ def state_to_dict(state: PureBipartiteState) -> dict:
         "n": state.n,
         "d": state.d,
         "amplitudes": [
-            [{"re": float(a.real), "im": float(a.imag)} for a in row]
+            [part for a in row for part in (float(a.real), float(a.imag))]
             for row in state.amplitudes
         ],
     }
 
 
-# One amplitude of the canonical text: keys sorted, so "im" comes first.
-_AMPLITUDE = '      {\n        "im": %s,\n        "re": %s\n      }'
-
-
-def _canonical_chunks(state: PureBipartiteState):
+def canonical_chunks(state: PureBipartiteState):
     """The canonical text in pieces, one per row of amplitudes.
 
     The bytes are those of json.dumps(state_to_dict(state), sort_keys=True,
     indent=2) + "\n"; the digits come from float.__repr__, as json's own.
     """
-    row = "    [\n" + ",\n".join([_AMPLITUDE] * state.d) + "\n    ]"
-    amps = state.amplitudes
-    pairs = np.stack((amps.imag, amps.real), axis=-1).reshape(state.n, 2 * state.d)
-    rows = (row % tuple(map(float.__repr__, values.tolist())) for values in pairs)
+    row = "    [\n" + ",\n".join(["      %s"] * (2 * state.d)) + "\n    ]"
+    parts = np.ascontiguousarray(state.amplitudes).view(float)
+    rows = (row % tuple(map(float.__repr__, values.tolist())) for values in parts)
     yield '{\n  "amplitudes": [\n' + next(rows)
     for text in rows:
         yield ",\n" + text
@@ -59,12 +55,12 @@ def _canonical_chunks(state: PureBipartiteState):
 
 def serialize_state(state: PureBipartiteState) -> str:
     """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
-    return "".join(_canonical_chunks(state))
+    return "".join(canonical_chunks(state))
 
 
 def write_state_file(state: PureBipartiteState, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_canonical_chunks(state))
+        fh.writelines(canonical_chunks(state))
 
 
 # json.loads gives exactly these types for numbers; bool is not among them.
@@ -105,7 +101,20 @@ def _amplitudes(rows: list, n: int, d: int) -> np.ndarray:
     return np.array([[_amplitude(c) for c in row] for row in rows], dtype=complex)
 
 
+def _interleaved(rows: list) -> np.ndarray:
+    """The complex matrix of rows of real numbers re, im, re, im, ...: each
+    row's pairs are the two float64 halves of a complex128."""
+    try:  # an integer too large for a float overflows here
+        return np.array(rows, dtype=float).view(complex)
+    except OverflowError as exc:
+        raise ParseError(f"bad amplitude entry: {exc}") from exc
+
+
 def _parse_state_dict(doc: dict, renormalize: bool) -> PureBipartiteState:
+    # type(), not ==: True == 1, and 1.0 == 1.
+    version = doc.get("schema_version", 1)
+    if type(version) is not int or version not in (1, 2):
+        raise ParseError(f"unknown schema_version {version!r}: this reader knows 1 and 2")
     try:
         n, d, rows = doc["n"], doc["d"], doc["amplitudes"]
     except KeyError as exc:
@@ -116,11 +125,17 @@ def _parse_state_dict(doc: dict, renormalize: bool) -> PureBipartiteState:
     _check_size(n * d)
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ParseError("amplitudes must be a list of rows, each a list")
-    if len(rows) != n or any(len(row) != d for row in rows):
+    width = d if version == 1 else 2 * d
+    if len(rows) != n or any(len(row) != width for row in rows):
         raise DimensionMismatchError(
             f"amplitudes shape ({len(rows)} x ...) does not match n={n}, d={d}"
+            + ("" if version == 1 else f": schema 2 rows hold 2 d = {width} floats")
         )
-    return validate_state(_amplitudes(rows, n, d), renormalize=renormalize)
+    if version == 1:
+        return validate_state(_amplitudes(rows, n, d), renormalize=renormalize)
+    if not _REAL.issuperset(map(type, chain.from_iterable(rows))):
+        raise ParseError("bad amplitude entry: schema 2 rows hold only real numbers")
+    return validate_state(_interleaved(rows), renormalize=renormalize)
 
 
 def _parse_state_csv(text: str, renormalize: bool) -> PureBipartiteState:
@@ -141,8 +156,7 @@ def _parse_state_csv(text: str, renormalize: bool) -> PureBipartiteState:
         raise DimensionMismatchError(
             f"CSV rows must hold re,im pairs; got odd width {width}"
         )
-    # Each row's re, im pairs are the two float64 halves of a complex128.
-    return validate_state(np.array(parsed).view(complex), renormalize=renormalize)
+    return validate_state(_interleaved(parsed), renormalize=renormalize)
 
 
 def _check_size(amplitudes: int) -> None:
@@ -151,7 +165,7 @@ def _check_size(amplitudes: int) -> None:
 
 
 def parse_state_file(path, renormalize: bool = False) -> PureBipartiteState:
-    """Read a state from JSON (canonical) or CSV (by .csv suffix)."""
+    """Read a state from JSON (schema 2 or 1) or CSV (by .csv suffix)."""
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
@@ -165,6 +179,7 @@ def parse_state_file(path, renormalize: bool = False) -> PureBipartiteState:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON in {p}: {exc}") from exc
+    del text  # not held while the rows become an array: 39 -> 31 MiB peak at 512 x 512
     if not isinstance(doc, dict):
         raise ParseError(f"expected a JSON object in {p}")
     return _parse_state_dict(doc, renormalize)

@@ -1,7 +1,9 @@
+import io
 import json
 import logging
 import math
 import re
+import sys
 import time
 from types import SimpleNamespace
 
@@ -355,6 +357,151 @@ def test_canonical_text_of_haar_states(fuzz_dir, n, d, seed):
     assert_canonical(random_haar_state(n, d, seed), fuzz_dir / "canonical.json")
 
 
+def v1_text(amps) -> str:
+    """Schema 1 text of a matrix: one {"re", "im"} object per amplitude."""
+    n, d = amps.shape
+    rows = [[{"re": float(a.real), "im": float(a.imag)} for a in row] for row in amps]
+    return json.dumps({"schema_version": 1, "n": n, "d": d, "amplitudes": rows}, indent=2)
+
+
+@pytest.mark.parametrize("n, d, seed", [(1, 1, 0), (3, 4, 5), (8, 1, 2), (16, 16, 7), (5, 32, 3)])
+@pytest.mark.parametrize("scale", [1.0, 0.98])
+def test_schema_1_and_2_files_of_one_state_parse_alike(tmp_path, n, d, seed, scale):
+    amps = random_haar_state(n, d, seed).amplitudes * scale
+    v2 = tmp_path / "v2.json"
+    write_state_file(SimpleNamespace(n=n, d=d, amplitudes=amps), v2)
+    assert json.loads(v2.read_text())["schema_version"] == 2
+    v1 = tmp_path / "v1.json"
+    v1.write_text(v1_text(amps))
+    for renormalize in (False, True):
+        assert outcome(parse_state_file, v1, renormalize) == outcome(
+            parse_state_file, v2, renormalize
+        )
+    assert parse_state_file(v2, renormalize=True).renorm_factor == pytest.approx(1 / scale)
+
+
+@pytest.mark.parametrize("shape", ["row", "column"])
+def test_pinned_floats_round_trip_bitwise(tmp_path, monkeypatch, shape):
+    # No normalized state holds 1e16 or the largest float, so the parsed
+    # matrix is taken before validation.
+    amps = complex_matrix([PINNED], [PINNED[::-1]])
+    if shape == "column":
+        amps = np.ascontiguousarray(amps.T)
+    n, d = amps.shape
+    path = tmp_path / "pinned.json"
+    write_state_file(SimpleNamespace(n=n, d=d, amplitudes=amps), path)
+    monkeypatch.setattr(espent.io, "validate_state", lambda raw, renormalize: raw)
+    parsed = parse_state_file(path)
+    assert parsed.shape == (n, d) and parsed.tobytes() == amps.tobytes()
+
+
+# Schema 2 entries: numbers of every kind, 10**400 among them, and now and
+# then any other JSON value (bool, null, string, list, object).
+V2_ENTRY = st.one_of(NUMBERS, NUMBERS, NUMBERS, JSON_VALUES)
+
+
+@st.composite
+def schema_2_documents(draw):
+    """Schema 2 documents, mostly well formed, some with ragged rows, rows
+    of d entries, or one row too many or too few."""
+    n, d = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    width = st.sampled_from([2 * d, 2 * d, 2 * d, 2 * d + 1, d])
+    lengths = draw(st.lists(width, min_size=max(n - 1, 0), max_size=n + 1))
+    rows = [draw(st.lists(V2_ENTRY, min_size=k, max_size=k)) for k in lengths]
+    return {"schema_version": 2, "n": n, "d": d, "amplitudes": rows}
+
+
+def as_schema_1(doc: dict) -> dict:
+    """The same numbers as one {"re", "im"} object per pair."""
+    rows = [
+        [{"re": re_, "im": im} for re_, im in zip(row[::2], row[1::2])]
+        for row in doc["amplitudes"]
+    ]
+    return {**doc, "schema_version": 1, "amplitudes": rows}
+
+
+@settings(max_examples=400, deadline=None)
+@example(doc={"schema_version": 2, "n": 1, "d": 1, "amplitudes": [[10**400, 0]]})
+@example(doc={"schema_version": 2, "n": 1, "d": 1, "amplitudes": [[True, 0.0]]})
+@example(doc={"schema_version": 2, "n": 1, "d": 1, "amplitudes": [["1", 0.0]]})
+@example(doc={"schema_version": 2, "n": 1, "d": 1, "amplitudes": [[None, 1.0]]})
+@example(doc={"schema_version": 2, "n": 1, "d": 1, "amplitudes": [[[1.0], 0.0]]})
+@example(doc={"schema_version": 2, "n": 1, "d": 1, "amplitudes": [[float("nan"), 0.0]]})
+@given(doc=schema_2_documents())
+def test_fuzz_schema_2_state_files(fuzz_dir, doc):
+    path = fuzz_dir / "state.json"
+    path.write_text(json.dumps(doc))
+    parses_or_refuses(path)
+    if any(len(row) % 2 for row in doc["amplitudes"]):
+        return
+    # Rows of whole pairs hold what a schema 1 file holds: the same bytes
+    # and factor, or a refusal of the same type.
+    v1 = fuzz_dir / "state-v1.json"
+    v1.write_text(json.dumps(as_schema_1(doc)))
+    for renormalize in (False, True):
+        results = [outcome(parse_state_file, p, renormalize) for p in (path, v1)]
+        if isinstance(results[0][0], type):  # a refusal: compare its type only
+            results = [r[0] for r in results]
+        assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("version", [99, 0, 3, -1, "v1", "1", 1.0, 2.0, True, None, [1]])
+def test_parse_refuses_unknown_schema_version(tmp_path, caplog, capsys, version):
+    path = tmp_path / "state.json"
+    doc = json.loads(v1_text(np.array([[1.0 + 0j]])))
+    path.write_text(json.dumps({**doc, "schema_version": version}))
+    with pytest.raises(ParseError, match=re.escape(f"unknown schema_version {version!r}")):
+        parse_state_file(path)
+    assert main(["analyze", str(path)]) == EXIT_PARSE
+    assert len(caplog.records) == 1
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "version, amplitudes",
+    [(None, [[{"re": 1.0, "im": 0.0}]]), (1, [[{"re": 1.0, "im": 0.0}]]), (2, [[1.0, 0.0]])],
+)
+def test_parse_known_schema_versions(tmp_path, version, amplitudes):
+    doc = {"n": 1, "d": 1, "amplitudes": amplitudes}
+    if version is not None:
+        doc["schema_version"] = version
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc))
+    assert parse_state_file(path).amplitudes.tolist() == [[1.0 + 0j]]
+
+
+@pytest.mark.parametrize(
+    "amplitudes, error, message",
+    [
+        ([[1.0, 0.0], [0.0, 0.0]], DimensionMismatchError, "rows hold 2 d = 2 floats"),
+        ([[1.0, 0.0, 0.0]], DimensionMismatchError, "rows hold 2 d = 2 floats"),
+        ([[{"re": 1.0, "im": 0.0}]], DimensionMismatchError, "rows hold 2 d = 2 floats"),
+        ([[True, 0.0]], ParseError, "schema 2 rows hold only real numbers"),
+        ([[1.0, None]], ParseError, "schema 2 rows hold only real numbers"),
+        ([["1.0", 0.0]], ParseError, "schema 2 rows hold only real numbers"),
+        ([[[1.0], 0.0]], ParseError, "schema 2 rows hold only real numbers"),
+        ([[10**400, 0.0]], ParseError, "too large"),
+        ([[-(10**400), 0.0]], ParseError, "too large"),
+        ([[float("inf"), 0.0]], NormError, "overflows"),
+        ([[float("nan"), 0.0]], NormError, "NaN or infinite"),
+    ],
+)
+def test_parse_schema_2_refusals(tmp_path, amplitudes, error, message):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"schema_version": 2, "n": 1, "d": 1, "amplitudes": amplitudes}))
+    with pytest.raises(error, match=re.escape(message)):
+        parse_state_file(path)
+
+
+def test_parse_schema_2_size_bound_fires_before_conversion(tmp_path, monkeypatch, caplog, capsys):
+    monkeypatch.setattr(espent.io, "MAX_AMPLITUDES", 3)
+    monkeypatch.setattr(espent.io, "_interleaved", None)  # a conversion would raise TypeError
+    path = tmp_path / "wide.json"
+    doc = {"schema_version": 2, "n": 2, "d": 2, "amplitudes": [[0.5] * 4] * 2}
+    path.write_text(json.dumps(doc))
+    assert_refused_as_too_large(path, caplog, capsys)
+
+
 def test_analyze_report_fields():
     rep = analyze(random_bell(), options=None)
     d = rep.to_dict()
@@ -623,6 +770,29 @@ def test_cli_random_deterministic(tmp_path):
     assert f1.read_text() == f2.read_text()
     state = parse_state_file(f1)
     assert state.n == 3 and state.d == 4
+
+
+class RecordingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def test_cli_random_streams_the_file_text_to_stdout(tmp_path, monkeypatch):
+    path = tmp_path / "state.json"
+    args = ["random", "--n", "6", "--d", "3", "--seed", "4"]
+    assert main([*args, "-o", str(path)]) == EXIT_OK
+    stdout = RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(args) == EXIT_OK
+    assert stdout.getvalue().encode() == path.read_bytes()
+    # One write per row of amplitudes and one for the closing keys: the
+    # whole text is never built.
+    assert len(stdout.sizes) == 6 + 1 and max(stdout.sizes) < len(stdout.getvalue()) / 3
 
 
 def test_cli_random_size_bound_fires_before_drawing(monkeypatch, caplog, capsys):
