@@ -458,19 +458,6 @@ def test_parse_refuses_unknown_schema_version(tmp_path, caplog, capsys, version)
 
 
 @pytest.mark.parametrize(
-    "version, amplitudes",
-    [(None, [[{"re": 1.0, "im": 0.0}]]), (1, [[{"re": 1.0, "im": 0.0}]]), (2, [[1.0, 0.0]])],
-)
-def test_parse_known_schema_versions(tmp_path, version, amplitudes):
-    doc = {"n": 1, "d": 1, "amplitudes": amplitudes}
-    if version is not None:
-        doc["schema_version"] = version
-    path = tmp_path / "state.json"
-    path.write_text(json.dumps(doc))
-    assert parse_state_file(path).amplitudes.tolist() == [[1.0 + 0j]]
-
-
-@pytest.mark.parametrize(
     "amplitudes, error, message",
     [
         ([[1.0, 0.0], [0.0, 0.0]], DimensionMismatchError, "rows hold 2 d = 2 floats"),
