@@ -4,11 +4,9 @@ Evolves a product state under a transverse-field Ising or XXZ chain and
 analyzes all times in one batch, so the growth of the truncated entropies
 can be tracked alongside the von Neumann entropy.  The evolution is a
 Chebyshev expansion of exp(-iHt) (Tal-Ezer & Kosloff, J. Chem. Phys. 81,
-3967 (1984)) in the spin-flip x reflection symmetry sectors of the basis
-states the initial ket reaches, built from H's nonzero triples, truncated
-where the Bessel tail is below TAIL = 1e-16 (quench_trajectory).  H's bit
-rules commute with both symmetries by construction; the evolution relies on
-that and does not re-check it.
+3967 (1984)) on the basis states the initial ket reaches, one sparse
+product with H's nonzero triples per term, truncated where the Bessel tail
+is below TAIL = 1e-16 (quench_trajectory).
 """
 
 from __future__ import annotations
@@ -157,12 +155,14 @@ def _chebyshev_table(center: float, half: float, times: np.ndarray, terms: int) 
     return table
 
 
-def _chebyshev_sum(p: np.ndarray, v0: np.ndarray, table: np.ndarray) -> np.ndarray:
+def _chebyshev_sum(p, v0: np.ndarray, table: np.ndarray) -> np.ndarray:
     """sum_m table[m] v_m as a (columns, v0.size) array, v_m = T_m(p / 2) v0.
 
+    p is given by its triples (rows, cols, values) on the indices of v0.
     The recurrence is v_{m+1} = p v_m - v_{m-1} from v_1 = p v0 / 2.  The
     v_m of _CHUNK terms at a time fill a ring buffer that one real gemm adds
     to the sum, so memory does not grow with the number of terms."""
+    rows, cols, vals = p
     terms = table.shape[0]
     ring = np.empty((min(terms, _CHUNK), v0.size))
     acc = np.zeros((table.shape[1], v0.size))
@@ -171,7 +171,7 @@ def _chebyshev_sum(p: np.ndarray, v0: np.ndarray, table: np.ndarray) -> np.ndarr
         if m == 0:
             ring[0] = v0
         else:
-            np.matmul(p, ring[j - 1], out=ring[j])
+            ring[j] = np.bincount(rows, vals * ring[j - 1][cols], minlength=v0.size)
             if m == 1:
                 ring[j] /= 2.0
             else:
@@ -181,11 +181,11 @@ def _chebyshev_sum(p: np.ndarray, v0: np.ndarray, table: np.ndarray) -> np.ndarr
     return acc
 
 
-def _evolve_in_sectors(rows, cols, vals, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
+def _evolve(rows, cols, vals, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """exp(-i H t) psi0 for each t, as columns, from H's triples; see quench_trajectory."""
-    dim, length = psi0.size, psi0.size.bit_length() - 1
-    # Gershgorin interval [center - half, center + half] of H: it holds the
-    # spectrum of every sector block, each being H on an invariant subspace
+    dim = psi0.size
+    # Gershgorin interval [center - half, center + half] of H: it also holds
+    # the spectrum of H on the reached states, an invariant subspace
     off = rows != cols
     radius = np.bincount(rows[off], np.abs(vals[off]), minlength=dim)
     diag = np.bincount(rows[~off], vals[~off], minlength=dim)
@@ -199,55 +199,27 @@ def _evolve_in_sectors(rows, cols, vals, psi0: np.ndarray, times: np.ndarray) ->
             f" {times.size} times; at most {MAX_TERMS} terms and {MAX_AMPLITUDES} terms x times"
         )
     table = _chebyshev_table(center, half, times, terms)
-    idx = np.arange(dim)
-    flip = idx ^ (dim - 1)
-    refl = sum(((idx >> i) & 1) << (length - 1 - i) for i in range(length))
     reached = frontier = psi0 != 0
     while frontier.any():
         grown = np.zeros(dim, dtype=bool)
         grown[cols[frontier[rows]]] = True
         frontier = grown & ~reached
         reached = reached | frontier
-    # The elements F^i R^j of {1, F, R, FR} that map the reached set K onto itself
-    elements = ((idx, 0, 0), (flip, 1, 0), (refl, 0, 1), (refl ^ (dim - 1), 1, 1))
-    group = [(g, i, j) for g, i, j in elements if reached[g[reached]].all()]
+    # p = 2 (H - center) / half on the k reached states, renumbered 0..k-1:
+    # its whole diagonal, then H's off-diagonal triples there
     k = np.flatnonzero(reached)
-    reps = k[np.min([g[k] for g, _, _ in group], axis=0) == k]
-    orbit = np.array([g[reps] for g, _, _ in group])  # g r, with g = 1 first
-    stab = orbit == reps
-    chars = {tuple(a**i * b**j for _, i, j in group) for a in (1, -1) for b in (1, -1)}
+    hop = off & reached[rows]
+    pos = np.cumsum(reached) - 1
+    p = (
+        pos[np.concatenate([k, rows[hop]])],
+        pos[np.concatenate([k, cols[hop]])],
+        # 2 / half would overflow at a subnormal half; 0 runs one term
+        2.0 * np.concatenate([diag[k] - center, vals[hop]]) / (half or 1.0),
+    )
+    acc = _chebyshev_sum(p, psi0[k], table)
     kets = np.zeros((dim, times.size), dtype=complex)
-    for signs in sorted(chars, reverse=True):
-        chi = np.array(signs, dtype=float)[:, None]
-        gr = orbit[:, ~(stab & (chi < 0)).any(axis=0)]
-        n_stab = (gr == gr[0]).sum(axis=0)
-        w = (chi * psi0[gr]).sum(axis=0) / (len(group) * n_stab)
-        if not w.any():
-            continue
-        pos = np.full(dim, -1)
-        pos[gr[0]] = np.arange(gr.shape[1])
-        block = np.zeros((gr.shape[1],) * 2)
-        for x, (g, _, _) in zip(chi[:, 0], group):
-            # H[r_a, g r_b] (g g = 1): one triple per (a, b) and g, summed in group order
-            hit = np.flatnonzero((pos[rows] >= 0) & (pos[g[cols]] >= 0))
-            block[pos[rows[hit]], pos[g[cols[hit]]]] += x * vals[hit]
-        # p = 2 (A - center) / half with A[r, r'] = sum_g chi(g) H[r, g r'] / |Stab r|
-        block *= (2.0 / n_stab)[:, None]
-        block[np.diag_indices(w.size)] -= 2.0 * center
-        block /= half or 1.0  # 2 / half would overflow at a subnormal half; 0 runs one term
-        acc = _chebyshev_sum(block, w, table)
-        _scatter(kets, gr, chi[:, 0], acc[: times.size].T + 1j * acc[times.size :].T)
+    kets[k] = acc[: times.size].T + 1j * acc[times.size :].T
     return kets
-
-
-def _scatter(kets: np.ndarray, gr: np.ndarray, chi: np.ndarray, a_t: np.ndarray) -> None:
-    """kets[g r] += chi(g) a_t[r] for every g in group order, row g of gr holding g r.
-
-    One fancy-index add per g: g maps the representatives one-to-one, so no
-    index repeats within an add, and the repeats a stabilizer makes (g r = r)
-    fall in different adds."""
-    for x, rows_g in zip(chi, gr):
-        kets[rows_g] += x * a_t
 
 
 def quench_trajectory(
@@ -255,27 +227,19 @@ def quench_trajectory(
 ) -> list[tuple[float, AnalysisReport]]:
     """Evolve the initial product state; analyze all time points in one batch.
 
-    H commutes exactly with the global spin flip F: s -> s ^ (2^L - 1) and
-    the reflection R, which reverses the L bits of s: hamiltonian_triples'
-    bit rules are invariant under both (proved by the tests for every length
-    up to MAX_LENGTH, not re-checked here).  psi0 reaches the set K of
-    indices closed under H's nonzero pattern; G is the subgroup of
-    {1, F, R, FR} that maps K onto itself.  For each character chi of G a
-    sector holds the kets sum_r w_r sum_g chi(g) |g r>, r an orbit
-    representative whose stabilizer chi is trivial on; psi0 has
-    w_r = sum_g chi(g) psi0[g r] / (|G| |Stab r|) there, and H acts on w as
-    the real A[r, r'] = sum_g chi(g) H[r, g r'] / |Stab r|, which is similar
-    to the symmetric sector block and so has its spectrum in H's Gershgorin
-    interval [center - half, center + half].  In each sector psi0 has weight
-    in, exp(-iAt) w = sum_m c_m(t) T_m((A - center) / half) w with
+    exp(-iHt) psi0 = sum_m c_m(t) T_m((H - center) / half) psi0, where
+    [center - half, center + half] is H's Gershgorin interval and
     c_m(t) = (2 - delta_m0) (-i)^m J_m(half t) exp(-i center t): one real
-    three-term recurrence serves every time point.  The sum stops after the
-    K + 1 terms for which 4 (x/2)^(K+1) / (K+1)! <= TAIL = 1e-16 at
-    x = half tmax, which bounds the norm of the dropped tail; there is no
-    Trotter error.  More than MAX_TERMS terms raise TooLargeError before any
-    sector block is built.
+    three-term recurrence serves every time point.  Each term is one sparse
+    product with H's triples on the basis states psi0 reaches through H's
+    nonzero pattern, the only ones the kets can weigh on.  The sum stops
+    after the K + 1 terms for which 4 (x/2)^(K+1) / (K+1)! <= TAIL = 1e-16
+    at x = half tmax, which bounds the norm of the dropped tail; there is no
+    Trotter error.  More than MAX_TERMS terms raise TooLargeError before the
+    recurrence starts, and a ket whose norm is off 1 by more than NORM_TOL
+    raises NormError.
     """
     times = np.linspace(0.0, config.tmax, config.steps + 1)
-    kets = _evolve_in_sectors(*hamiltonian_triples(config), initial_product_state(config), times)
-    states = [validate_state(k.reshape(2**config.cut, -1), renormalize=True) for k in kets.T]
+    kets = _evolve(*hamiltonian_triples(config), initial_product_state(config), times)
+    states = [validate_state(k.reshape(2**config.cut, -1)) for k in kets.T]
     return list(zip(times.tolist(), analyze_batch(states, options)))

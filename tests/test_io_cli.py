@@ -643,7 +643,7 @@ def test_cli_quench_invalid_option(capsys, caplog, options, message):
 
 @pytest.mark.parametrize("tmax", ["1e9", "1e308"])
 def test_cli_quench_term_bound(capsys, caplog, tmax):
-    # Refused from the Gershgorin interval, before any sector block: the
+    # Refused from the Gershgorin interval, before the recurrence: the
     # Chebyshev terms grow with the spectral half-width (23 at L=12) x tmax,
     # and 1e308 overflows that product
     start = time.perf_counter()

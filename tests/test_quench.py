@@ -13,6 +13,7 @@ from espent import (
     AnalysisOptions,
     InvalidCutError,
     InvalidOptionError,
+    NormError,
     QuenchConfig,
     TooLargeError,
     analyze,
@@ -20,12 +21,14 @@ from espent import (
     quench_trajectory,
     validate_state,
 )
+from espent.cli import EXIT_PARSE, main
 from espent.quench import (
     MAX_LENGTH,
     TAIL,
+    _chebyshev_sum,
     _chebyshev_table,
     _chebyshev_terms,
-    _evolve_in_sectors,
+    _evolve,
     hamiltonian_triples,
     initial_product_state,
 )
@@ -88,13 +91,13 @@ def test_hamiltonian_matches_kron_reference(length, model, coupling, field_stren
     np.testing.assert_allclose(h, kron_hamiltonian(cfg), rtol=0.0, atol=1e-14)
 
 
-@pytest.mark.parametrize("length", range(2, 11))
+@pytest.mark.parametrize("length", range(2, MAX_LENGTH + 1))
 @pytest.mark.parametrize("model", ["tfi", "xxz"])
 @pytest.mark.parametrize("coupling, field_strength, anisotropy", EDGE_COUPLINGS)
 def test_triples_are_the_nonzero_entries(length, model, coupling, field_strength, anisotropy):
     # Zero values are dropped as np.nonzero drops them (with h = 0 or
     # Delta = 0 they would change the reached set), and each (row, col)
-    # occurs once, which the sector blocks rely on
+    # occurs once; the recurrence's sparse product of the triples is H v
     cfg = QuenchConfig(
         model=model, length=length, cut=1, tmax=1.0, steps=1, coupling=coupling,
         field_strength=field_strength, anisotropy=anisotropy,
@@ -105,6 +108,10 @@ def test_triples_are_the_nonzero_entries(length, model, coupling, field_strength
     nonzero = np.nonzero(h)
     assert len(triples) == rows.size == len(set(zip(rows.tolist(), cols.tolist())))
     assert triples == set(zip(*(x.tolist() for x in nonzero), h[nonzero].tolist()))
+    # Coefficients (0, 2) pick 2 v_1 = p v0 out of the recurrence, with p = H
+    v = np.random.default_rng(length).standard_normal(h.shape[0])
+    product = _chebyshev_sum((rows, cols, vals), v, np.array([[0.0], [2.0]]))[0]
+    np.testing.assert_allclose(product, h @ v, rtol=0.0, atol=1e-14 * np.abs(h @ v).max())
     if length <= 6:
         assert set(zip(rows.tolist(), cols.tolist())) == set(
             zip(*(x.tolist() for x in np.nonzero(kron_hamiltonian(cfg))))
@@ -113,8 +120,8 @@ def test_triples_are_the_nonzero_entries(length, model, coupling, field_strength
 
 @pytest.mark.parametrize("model", ["tfi", "xxz"])
 def test_trajectory_allocates_no_dense_hamiltonian(model):
-    # The dense H of L = 11 alone is 32 MiB; the peak is 5.9 MiB (TFI, two
-    # sectors of 528 states) and 1.1 MiB (XXZ)
+    # The dense H of L = 11 alone is 32 MiB; the peak is 2.7 MiB (TFI, all
+    # 2048 states reached) and 0.85 MiB (XXZ, 462 states)
     cfg = QuenchConfig(model=model, length=11, cut=5, tmax=1.0, steps=1)
     tracemalloc.start()
     try:
@@ -135,38 +142,11 @@ def test_trajectory_reports_match_analyze_per_ket(model, length, cut):
     cfg = QuenchConfig(model=model, length=length, cut=cut, tmax=2.0, steps=8)
     options = AnalysisOptions(r_max=3)
     times = np.linspace(0.0, cfg.tmax, cfg.steps + 1)
-    kets = _evolve_in_sectors(*hamiltonian_triples(cfg), initial_product_state(cfg), times)
+    kets = _evolve(*hamiltonian_triples(cfg), initial_product_state(cfg), times)
     for (t, report), ket, t_ref in zip(quench_trajectory(cfg, options), kets.T, times):
-        state = validate_state(ket.reshape(2**cut, -1), renormalize=True)
+        state = validate_state(ket.reshape(2**cut, -1))
         assert t == t_ref
         assert json.dumps(report.to_dict()) == json.dumps(analyze(state, options).to_dict())
-
-
-def _scatter_with_add_at(kets, gr, chi, a_t):
-    """The ufunc.at scatter the sector evolution used before: all g at once."""
-    np.add.at(kets, gr.ravel(), (chi[:, None, None] * a_t).reshape(-1, a_t.shape[1]))
-
-
-@pytest.mark.parametrize("length", range(2, MAX_LENGTH + 1))
-@pytest.mark.parametrize("initial", ["up", "neel"])
-@pytest.mark.parametrize("model", ["tfi", "xxz"])
-def test_sector_scatter_is_bitwise_the_add_at_scatter(monkeypatch, model, initial, length):
-    # Each scatter call also runs on a shadow copy of the kets through
-    # np.add.at, which sums repeated indices in the same g-major order; the
-    # two must agree in every bit after every call
-    scatter, shadows, calls = espent.quench._scatter, {}, []
-
-    def checked(kets, gr, chi, a_t):
-        shadow = shadows.setdefault(id(kets), kets.copy())
-        _scatter_with_add_at(shadow, gr, chi, a_t)
-        scatter(kets, gr, chi, a_t)
-        calls.append(kets.tobytes() == shadow.tobytes())
-
-    monkeypatch.setattr(espent.quench, "_scatter", checked)
-    cfg = QuenchConfig(model=model, length=length, cut=1, tmax=2.0, steps=4, initial=initial)
-    times = np.linspace(0.0, cfg.tmax, cfg.steps + 1)
-    _evolve_in_sectors(*hamiltonian_triples(cfg), initial_product_state(cfg), times)
-    assert calls and all(calls)
 
 
 def assert_matches_kron_evolution(cfg, r_max):
@@ -206,10 +186,8 @@ def test_trajectory_matches_kron_reference_evolution(model):
 @pytest.mark.parametrize("initial", ["up", "neel"])
 @pytest.mark.parametrize("model", ["tfi", "xxz"])
 def test_sector_evolution_matches_kron_reference(model, initial, length):
-    # Each symmetry group the sectors are built on: {1, F, R, FR} with psi0
-    # invariant under R (TFI, all up or odd-L Neel) or only under FR (TFI,
-    # even-L Neel; XXZ even-L Neel), {1, R} (XXZ odd-L Neel, whose S^z sector
-    # F leaves) and {1, R} on a one-state reached set (XXZ all up)
+    # Each reached set: every state (TFI), the S^z sector of the Neel state
+    # (XXZ), and one state (XXZ all up), at even and odd L
     cfg = QuenchConfig(
         model=model, length=length, cut=3, tmax=1.5, steps=3, coupling=0.7,
         field_strength=1.3, anisotropy=-0.4, initial=initial,
@@ -218,23 +196,20 @@ def test_sector_evolution_matches_kron_reference(model, initial, length):
 
 
 @pytest.mark.parametrize(
-    "model, length, sizes",
-    [
-        ("tfi", 9, [136, 136]), ("xxz", 9, [66]),
-        ("tfi", 12, [1056, 1024]), ("xxz", 12, [252, 242]),
-    ],
+    "model, length, size", [("tfi", 9, 512), ("xxz", 9, 126), ("tfi", 12, 4096), ("xxz", 12, 924)]
 )
-def test_chebyshev_runs_only_on_the_sectors_psi0_reaches(monkeypatch, model, length, sizes):
-    shapes = []
+def test_chebyshev_runs_only_on_the_states_psi0_reaches(monkeypatch, model, length, size):
+    # TFI reaches every basis state; the XXZ Neel state only its S^z sector
+    sizes = []
     chebyshev_sum = espent.quench._chebyshev_sum
 
     def spy(p, v0, table):
-        shapes.append(p.shape)
+        sizes.append(v0.size)
         return chebyshev_sum(p, v0, table)
 
     monkeypatch.setattr(espent.quench, "_chebyshev_sum", spy)
     quench_trajectory(QuenchConfig(model=model, length=length, cut=1, tmax=1.0, steps=1))
-    assert sorted(shapes, reverse=True) == [(k, k) for k in sizes]
+    assert sizes == [size]
 
 
 # (J, h, Delta): the defaults, h = 0 with Delta > 1 and J < 0, and Delta = 0
@@ -251,7 +226,7 @@ BLOCK_COUPLINGS = [(1.0, 1.0, 1.0), (-1.1, 0.0, 2.5), (0.7, 1.3, 0.0)]
 def test_block_evolution_matches_kron_reference(
     length, cut, coupling, field_strength, anisotropy, model
 ):
-    # The symmetry sectors of the states psi0 reaches must give the same
+    # The evolution on the states psi0 reaches must give the same
     # trajectory as the full space
     cfg = QuenchConfig(
         model=model, length=length, cut=cut, tmax=1.5, steps=3, coupling=coupling,
@@ -261,8 +236,10 @@ def test_block_evolution_matches_kron_reference(
 
 
 def evolve_by_sector_eigh(rows, cols, vals, psi0, times):
-    """Reference kets: the same symmetry sectors, each diagonalized by a real eigh.
+    """Reference kets: the spin-flip x reflection sectors of the states psi0
+    reaches, each diagonalized by a real eigh.
 
+    G is the subgroup of {1, F, R, FR} that maps the reached set onto itself.
     The sector basis is c_r sum_g chi(g) |g r>, c_r = (|G| |Stab r|)^(-1/2),
     where H_chi[r, r'] = |G| c_r c_r' sum_g chi(g) H[r, g r'] is symmetric."""
     dim, length = psi0.size, psi0.size.bit_length() - 1
@@ -305,7 +282,7 @@ def assert_matches_sector_eigh(cfg, per_radian=0.0):
     the most phase any eigenvalue turns through; psi(0) = psi0 bitwise, norms 1 to 1e-13."""
     times = np.linspace(0.0, cfg.tmax, cfg.steps + 1)
     triples, psi0 = hamiltonian_triples(cfg), initial_product_state(cfg)
-    kets = _evolve_in_sectors(*triples, psi0, times)
+    kets = _evolve(*triples, psi0, times)
     x = cfg.tmax * np.bincount(triples[0], np.abs(triples[2]), minlength=psi0.size).max()
     np.testing.assert_allclose(
         kets, evolve_by_sector_eigh(*triples, psi0, times), rtol=0.0, atol=1e-13 + per_radian * x
@@ -367,7 +344,7 @@ def test_zero_hamiltonian_and_zero_tmax_keep_psi0(model, coupling, field_strengt
     )
     times = np.linspace(0.0, cfg.tmax, cfg.steps + 1)
     psi0 = initial_product_state(cfg)
-    kets = _evolve_in_sectors(*hamiltonian_triples(cfg), psi0, times)
+    kets = _evolve(*hamiltonian_triples(cfg), psi0, times)
     assert np.array_equal(kets, np.repeat(psi0[:, None], times.size, axis=1))
     for _, report in quench_trajectory(cfg, AnalysisOptions(r_max=2)):
         assert report.entropies["von_neumann_direct"] == 0.0
@@ -396,7 +373,7 @@ def test_chebyshev_coefficients_are_bessel_values_with_the_tail_below_bound(x):
 )
 def test_term_bound_fires_before_any_block(monkeypatch, tmax, steps, message):
     # Too many terms, or a coefficient table of terms x times beyond
-    # MAX_AMPLITUDES, refuse before the table, which comes before any block
+    # MAX_AMPLITUDES, refuse before the table, which comes before the recurrence
     def fail(*args):
         raise AssertionError("built")
 
@@ -404,7 +381,21 @@ def test_term_bound_fires_before_any_block(monkeypatch, tmax, steps, message):
     cfg = QuenchConfig(model="tfi", length=12, cut=6, tmax=tmax, steps=steps)
     triples = hamiltonian_triples(cfg)
     with pytest.raises(TooLargeError, match=message):
-        _evolve_in_sectors(*triples, initial_product_state(cfg), np.linspace(0.0, tmax, steps + 1))
+        _evolve(*triples, initial_product_state(cfg), np.linspace(0.0, tmax, steps + 1))
+
+
+def test_kets_that_lose_norm_raise(monkeypatch, capsys, caplog):
+    # An expansion cut to half its terms loses norm; the kets are not
+    # rescaled to hide it, in the library or through the CLI
+    terms = espent.quench._chebyshev_terms
+    monkeypatch.setattr(espent.quench, "_chebyshev_terms", lambda x: max(1, terms(x) // 2))
+    cfg = QuenchConfig(model="tfi", length=6, cut=3, tmax=2.0, steps=4)
+    with pytest.raises(NormError, match="state norm"):
+        quench_trajectory(cfg)
+    argv = ["--length", "6", "--cut", "3", "--tmax", "2", "--steps", "4"]
+    assert main(["quench", "--model", "tfi", *argv]) == EXIT_PARSE
+    assert len(caplog.records) == 1 and "state norm" in caplog.text
+    assert capsys.readouterr().out == ""
 
 
 finite_couplings = st.floats(-100.0, 100.0)
@@ -417,7 +408,7 @@ finite_couplings = st.floats(-100.0, 100.0)
 )
 def test_hamiltonian_commutes_with_spin_flip(length, model, coupling, field_strength, anisotropy):
     # F: s -> s ^ (2^L - 1) reverses the index order, so F H F = h[::-1, ::-1];
-    # the sectors rely on it holding exactly
+    # the sector reference relies on it holding exactly
     cfg = QuenchConfig(
         model=model, length=length, cut=1, tmax=1.0, steps=1, coupling=coupling,
         field_strength=field_strength, anisotropy=anisotropy,
@@ -434,7 +425,7 @@ def test_hamiltonian_commutes_with_spin_flip(length, model, coupling, field_stre
 @example(length=4, model="tfi", coupling=0.7, field_strength=1.0, anisotropy=1.0)
 def test_hamiltonian_commutes_with_reflection(length, model, coupling, field_strength, anisotropy):
     # R reverses the L bits of an index, so R H R = h[refl][:, refl]; the
-    # sectors rely on it holding exactly, diagonal included
+    # sector reference relies on it holding exactly, diagonal included
     cfg = QuenchConfig(
         model=model, length=length, cut=1, tmax=1.0, steps=1, coupling=coupling,
         field_strength=field_strength, anisotropy=anisotropy,
@@ -488,7 +479,8 @@ def _assert_symmetric(length, rows, cols, vals):
 def test_triples_commute_with_spin_flip_and_reflection(
     length, model, coupling, field_strength, anisotropy
 ):
-    # The sector evolution relies on both symmetries and does not re-check them
+    # evolve_by_sector_eigh, the reference for the kets, relies on both
+    # symmetries and does not re-check them
     cfg = QuenchConfig(
         model=model, length=length, cut=1, tmax=1.0, steps=1, coupling=coupling,
         field_strength=field_strength, anisotropy=anisotropy,
