@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -78,29 +78,6 @@ def _amplitude(entry) -> complex:
     raise ParseError("bad amplitude entry: need an object with real numbers re and im")
 
 
-def _amplitudes(rows: list, n: int, d: int) -> np.ndarray:
-    """The n x d complex matrix of decoded rows, already n lists of d entries.
-
-    The entries are type-checked as a whole and the two float arrays filled
-    from the lists of re and im; on any failure, and for an empty matrix,
-    the per-entry route raises the first bad entry's error or builds it.
-    """
-    entries = list(chain.from_iterable(rows))
-    if set(map(type, entries)) == {dict}:
-        real = list(map(dict.get, entries, repeat("re")))
-        imag = list(map(dict.get, entries, repeat("im")))
-        if _REAL.issuperset(map(type, real)) and _REAL.issuperset(map(type, imag)):
-            try:  # an integer too large for a float overflows here
-                real, imag = np.array((real, imag), dtype=float).reshape(2, n, d)
-            except OverflowError:
-                pass
-            else:
-                raw = np.empty((n, d), dtype=complex)
-                raw.real, raw.imag = real, imag
-                return raw
-    return np.array([[_amplitude(c) for c in row] for row in rows], dtype=complex)
-
-
 def _interleaved(rows: list) -> np.ndarray:
     """The complex matrix of rows of real numbers re, im, re, im, ...: each
     row's pairs are the two float64 halves of a complex128."""
@@ -132,7 +109,8 @@ def _parse_state_dict(doc: dict, renormalize: bool) -> PureBipartiteState:
             + ("" if version == 1 else f": schema 2 rows hold 2 d = {width} floats")
         )
     if version == 1:
-        return validate_state(_amplitudes(rows, n, d), renormalize=renormalize)
+        raw = np.array([[_amplitude(c) for c in row] for row in rows], dtype=complex)
+        return validate_state(raw, renormalize=renormalize)
     if not _REAL.issuperset(map(type, chain.from_iterable(rows))):
         raise ParseError("bad amplitude entry: schema 2 rows hold only real numbers")
     return validate_state(_interleaved(rows), renormalize=renormalize)

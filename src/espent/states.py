@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     IndefiniteMatrixError,
+    InvalidOptionError,
     NormError,
     TooLargeError,
     ZeroStateError,
@@ -232,6 +233,8 @@ def random_haar_state(n: int, d: int, seed: int) -> PureBipartiteState:
         raise DimensionMismatchError("n and d must be >= 1")
     if n * d > MAX_AMPLITUDES:
         raise TooLargeError(f"state of {n * d} amplitudes exceeds {MAX_AMPLITUDES}")
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise InvalidOptionError(f"seed={seed}; need seed >= 0")
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
     return validate_state(raw, renormalize=True)

@@ -17,6 +17,7 @@ from espent import (
     esp_from_spectrum,
     fermionic_encoding_probability,
     antisym_weight,
+    analyze_batch,
     projected_states,
     purities_from_esp,
     purities_recurrence,
@@ -239,4 +240,39 @@ def test_criterion_9_quench_demo():
         zero_start and monotone and ladder_ok and sn_ok and elapsed < 300.0,
         f"S(0)={svn[0]:.2e}, monotone={monotone}, ladder={ladder_ok}, "
         f"S_n ok={sn_ok}, {elapsed:.1f}s",
+    )
+
+
+HAAR_SEEDS = range(2000)
+HAAR_Z_BOUND = 5.0  # standard errors; fixed with the seeds before the first run
+
+
+@pytest.mark.parametrize("n, d", [(4, 4), (8, 3), (8, 8), (16, 16), (8, 32)])
+def test_haar_ensemble_means_match_the_closed_forms(n, d):
+    # The sampler, the SVD, the ESP recurrence and von_neumann_direct together
+    # against numbers derived outside the code: for Haar states,
+    # E[e_k] = C(n, k) d!/(d - k)! / (nd)(nd + 1)...(nd + k - 1), and Page's
+    # E[S] = sum_{j=b+1}^{ab} 1/j - (a - 1)/(2b), a = min(n, d), b = max(n, d)
+    # (Page, PRL 71, 1291 (1993)).
+    reports = analyze_batch([random_haar_state(n, d, seed) for seed in HAAR_SEEDS])
+    e = np.zeros((len(reports), 6))  # e_0 unused; e_k past e_n reads 0
+    e[:, 1 : min(n, 5) + 1] = [rep.esp[:5] for rep in reports]
+    samples = {f"e_{k}": e[:, k] for k in range(2, 6)}
+    samples["S"] = np.array([rep.entropies["von_neumann_direct"] for rep in reports])
+    a, b = min(n, d), max(n, d)
+    expected = {
+        f"e_{k}": math.comb(n, k) * math.perm(d, k) / math.prod(range(n * d, n * d + k))
+        for k in range(2, 6)
+    }
+    expected["S"] = math.fsum(1 / j for j in range(b + 1, a * b + 1)) - (a - 1) / (2 * b)
+    z = {}
+    for name, x in samples.items():
+        if expected[name] == 0.0:  # k > min(n, d): no k nonzero eigenvalues
+            z[name] = 0.0 if not x.any() else math.inf
+        else:
+            z[name] = (x.mean() - expected[name]) / (x.std(ddof=1) / math.sqrt(len(x)))
+    _report(
+        f"Haar {n}x{d}: means of e_2..e_5 and S within {HAAR_Z_BOUND:g} SE of the closed forms",
+        all(abs(v) <= HAAR_Z_BOUND for v in z.values()),
+        ", ".join(f"{name} z={v:+.2f}" for name, v in z.items()),
     )

@@ -21,6 +21,7 @@ from espent import (
     AnalysisOptions,
     DimensionMismatchError,
     EspentError,
+    InvalidOptionError,
     NormError,
     ParseError,
     PureBipartiteState,
@@ -149,6 +150,10 @@ ONE = [[{"re": 1.0, "im": 0.0}]]
         ({"n": 1, "d": 1, "amplitudes": [[[1.0, 0.0]]]}, "bad amplitude entry"),
         ({"n": 1, "d": 1, "amplitudes": [[{"re": 10**400, "im": 0}]]}, "too large"),
         ({"d": 1, "amplitudes": ONE}, "missing field: 'n'"),
+        ({"n": 1, "d": 2, "amplitudes": [[{"re": 10**400, "im": 0}, {"re": "1", "im": 0}]]},
+         "too large"),
+        ({"n": 1, "d": 2, "amplitudes": [[{"re": "1", "im": 0}, {"re": 10**400, "im": 0}]]},
+         "bad amplitude entry: need an object"),
     ],
 )
 def test_parse_malformed_json_shapes(tmp_path, caplog, capsys, doc, message):
@@ -204,17 +209,12 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-def parses_or_refuses(path) -> None:
+def parses_or_refuses(path, renormalize: bool = False) -> None:
     try:
-        state = parse_state_file(path)
+        state = parse_state_file(path, renormalize)
     except EspentError:
         return
     assert isinstance(state, PureBipartiteState)
-
-
-def amplitudes_per_entry(rows, n, d):
-    """The reference reader: one complex per entry, the first bad one raising."""
-    return np.array([[espent.io._amplitude(c) for c in row] for row in rows], dtype=complex)
 
 
 def outcome(parse, *args):
@@ -224,8 +224,6 @@ def outcome(parse, *args):
         state = parse(*args)
     except EspentError as exc:
         return type(exc), str(exc)
-    if isinstance(state, np.ndarray):
-        return state.shape, state.tobytes()
     return state.amplitudes.shape, state.amplitudes.tobytes(), state.renorm_factor
 
 
@@ -234,42 +232,8 @@ def outcome(parse, *args):
 def test_fuzz_json_state_files(fuzz_dir, doc):
     path = fuzz_dir / "state.json"
     path.write_text(json.dumps(doc))
-    parses_or_refuses(path)
-    # The whole-list reader gives what the per-entry reader gives, bit for
-    # bit, and refuses with the same error and message.
     for renormalize in (False, True):
-        result = outcome(parse_state_file, path, renormalize)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(espent.io, "_amplitudes", amplitudes_per_entry)
-            assert outcome(parse_state_file, path, renormalize) == result
-
-
-# Entries as json.loads could decode them, mostly well formed: numbers of
-# every kind (integers beyond a float's range and past 2^53 and 2^64 among
-# them), with now and then a bool, null, string, missing key or non-object.
-NUMBERS = (
-    st.floats()
-    | st.integers()
-    | st.sampled_from([-0.0, 5e-324, 2**53 + 1, 2**63 + 1, 2**64 + 1, -(2**64) - 1, 10**400])
-)
-PART = NUMBERS | st.booleans() | st.none() | st.text(max_size=2)
-ENTRY = st.fixed_dictionaries({"re": NUMBERS, "im": NUMBERS}) | st.fixed_dictionaries(
-    {}, optional={"re": PART, "im": PART}
-)
-
-
-@st.composite
-def amplitude_rows(draw):
-    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    entries = st.one_of(ENTRY, ENTRY, ENTRY, PART)
-    rows = draw(st.lists(st.lists(entries, min_size=d, max_size=d), min_size=n, max_size=n))
-    return rows, n, d
-
-
-@settings(max_examples=500, deadline=None)
-@given(case=amplitude_rows())
-def test_amplitude_rows_match_the_per_entry_route(case):
-    assert outcome(espent.io._amplitudes, *case) == outcome(amplitudes_per_entry, *case)
+        parses_or_refuses(path, renormalize)
 
 
 @settings(max_examples=300, deadline=None)
@@ -395,6 +359,13 @@ def test_pinned_floats_round_trip_bitwise(tmp_path, monkeypatch, shape):
     assert parsed.shape == (n, d) and parsed.tobytes() == amps.tobytes()
 
 
+# Numbers as json.loads could decode them: integers beyond a float's range
+# and past 2^53 and 2^64 among them.
+NUMBERS = (
+    st.floats()
+    | st.integers()
+    | st.sampled_from([-0.0, 5e-324, 2**53 + 1, 2**63 + 1, 2**64 + 1, -(2**64) - 1, 10**400])
+)
 # Schema 2 entries: numbers of every kind, 10**400 among them, and now and
 # then any other JSON value (bool, null, string, list, object).
 V2_ENTRY = st.one_of(NUMBERS, NUMBERS, NUMBERS, JSON_VALUES)
@@ -789,6 +760,19 @@ def test_cli_random_size_bound_fires_before_drawing(monkeypatch, caplog, capsys)
         random_haar_state(9, 8, seed=1)
     assert main(["random", "--n", "9", "--d", "8", "--seed", "1"]) == EXIT_PARSE
     assert [r.getMessage() for r in caplog.records] == ["state of 72 amplitudes exceeds 64"]
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_random_refuses_a_negative_seed_before_drawing(monkeypatch, caplog, capsys):
+    # numpy integers stay accepted seeds, and draw what the same int draws.
+    same = random_haar_state(2, 3, seed=np.uint8(7)).amplitudes
+    assert same.tobytes() == random_haar_state(2, 3, seed=7).amplitudes.tobytes()
+    monkeypatch.setattr(np.random, "default_rng", None)  # a draw would raise TypeError
+    for seed in (-1, np.int64(-3)):
+        with pytest.raises(InvalidOptionError, match=f"seed={seed}; need seed >= 0"):
+            random_haar_state(2, 2, seed)
+    assert main(["random", "--n", "2", "--d", "2", "--seed", "-1"]) == EXIT_PARSE
+    assert [r.getMessage() for r in caplog.records] == ["seed=-1; need seed >= 0"]
     assert capsys.readouterr().out == ""
 
 
