@@ -4,9 +4,10 @@ Evolves a product state under a transverse-field Ising or XXZ chain and
 analyzes all times in one batch, so the growth of the truncated entropies
 can be tracked alongside the von Neumann entropy.  The evolution is a
 Chebyshev expansion of exp(-iHt) (Tal-Ezer & Kosloff, J. Chem. Phys. 81,
-3967 (1984)) on the basis states the initial ket reaches, one sparse
-product with H's nonzero triples per term, truncated where the Bessel tail
-is below TAIL = 1e-16 (quench_trajectory).
+3967 (1984)) on the basis states the initial ket reaches, each term one
+gather and one contraction over row-padded bands of H's nonzero triples,
+truncated where the Bessel tail is below TAIL = 1e-16 (quench_trajectory).
+The kets are validated once per trajectory, as one stack.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import numpy as np
 from .errors import InvalidCutError, InvalidOptionError, TooLargeError
 from .report import AnalysisOptions, AnalysisReport, analyze_batch
 from .report import analyze  # noqa: F401  the benchmark tracer (bench/spans.py) wraps this name
-from .states import MAX_AMPLITUDES, validate_state
+from .states import MAX_AMPLITUDES, validate_stack
+from .states import validate_state  # noqa: F401  bench/spans.py wraps this name
 
 MAX_LENGTH = 12
 MAX_TERMS = 2**14      # Chebyshev terms per trajectory: the cost grows with half-width x tmax
@@ -155,14 +157,31 @@ def _chebyshev_table(center: float, half: float, times: np.ndarray, terms: int) 
     return table
 
 
+def _bands(p, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """p's triples (rows, cols, values) on 0..size-1 as row-padded bands (ELLPACK;
+    Rice & Boisvert, 1985): (W, size) arrays of columns and values, W the most
+    triples in a row.  Band w of row r holds the w-th triple of row r in triple
+    order, or a zero value at column 0 past its last."""
+    rows, cols, vals = p
+    count = np.bincount(rows, minlength=size)
+    order = np.argsort(rows, kind="stable")
+    band = (np.arange(rows.size) - np.repeat(np.cumsum(count) - count, count), rows[order])
+    band_cols = np.zeros((count.max(), size), dtype=np.intp)
+    band_vals = np.zeros(band_cols.shape)
+    band_cols[band], band_vals[band] = cols[order], vals[order]
+    return band_cols, band_vals
+
+
 def _chebyshev_sum(p, v0: np.ndarray, table: np.ndarray) -> np.ndarray:
     """sum_m table[m] v_m as a (columns, v0.size) array, v_m = T_m(p / 2) v0.
 
-    p is given by its triples (rows, cols, values) on the indices of v0.
-    The recurrence is v_{m+1} = p v_m - v_{m-1} from v_1 = p v0 / 2.  The
-    v_m of _CHUNK terms at a time fill a ring buffer that one real gemm adds
-    to the sum, so memory does not grow with the number of terms."""
-    rows, cols, vals = p
+    p is given by its triples (rows, cols, values) on the indices of v0,
+    laid out once as _bands, so each product (p v)_r is one gather and one
+    sum over the bands, in triple order.  The recurrence is
+    v_{m+1} = p v_m - v_{m-1} from v_1 = p v0 / 2.  The v_m of _CHUNK terms
+    at a time fill a ring buffer that one real gemm adds to the sum, so
+    memory does not grow with the number of terms."""
+    band_cols, band_vals = _bands(p, v0.size)
     terms = table.shape[0]
     ring = np.empty((min(terms, _CHUNK), v0.size))
     acc = np.zeros((table.shape[1], v0.size))
@@ -171,7 +190,7 @@ def _chebyshev_sum(p, v0: np.ndarray, table: np.ndarray) -> np.ndarray:
         if m == 0:
             ring[0] = v0
         else:
-            ring[j] = np.bincount(rows, vals * ring[j - 1][cols], minlength=v0.size)
+            np.einsum("wk,wk->k", band_vals, ring[j - 1][band_cols], out=ring[j])
             if m == 1:
                 ring[j] /= 2.0
             else:
@@ -232,14 +251,17 @@ def quench_trajectory(
     c_m(t) = (2 - delta_m0) (-i)^m J_m(half t) exp(-i center t): one real
     three-term recurrence serves every time point.  Each term is one sparse
     product with H's triples on the basis states psi0 reaches through H's
-    nonzero pattern, the only ones the kets can weigh on.  The sum stops
+    nonzero pattern, the only ones the kets can weigh on: one gather and one
+    contraction over the triples laid out as row-padded bands.  The sum stops
     after the K + 1 terms for which 4 (x/2)^(K+1) / (K+1)! <= TAIL = 1e-16
     at x = half tmax, which bounds the norm of the dropped tail; there is no
     Trotter error.  More than MAX_TERMS terms raise TooLargeError before the
-    recurrence starts, and a ket whose norm is off 1 by more than NORM_TOL
-    raises NormError.
+    recurrence starts.  The kets are validated as one stack (validate_stack),
+    and a ket whose norm is off 1 by more than NORM_TOL raises NormError
+    naming its time point instead of being rescaled into plausible numbers.
     """
     times = np.linspace(0.0, config.tmax, config.steps + 1)
     kets = _evolve(*hamiltonian_triples(config), initial_product_state(config), times)
-    states = [validate_state(k.reshape(2**config.cut, -1)) for k in kets.T]
+    stack = kets.T.reshape(times.size, 2**config.cut, -1)
+    states = validate_stack(stack, name=lambda i: f"t = {times[i]}")
     return list(zip(times.tolist(), analyze_batch(states, options)))

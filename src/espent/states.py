@@ -40,7 +40,8 @@ class PureBipartiteState:
     """Normalized pure state of an n x d bipartite system.
 
     Built only from finite amplitudes of squared norm within 1e-10 of 1
-    (NormError otherwise), so everything downstream may rely on that.
+    (NormError otherwise), so everything downstream may rely on that;
+    validate_stack's states, whose norms it has checked, skip the checks.
     """
 
     n: int
@@ -62,6 +63,14 @@ class PureBipartiteState:
         amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
+
+    @classmethod
+    def from_checked(cls, amplitudes: np.ndarray, renorm_factor: float) -> PureBipartiteState:
+        """A state of read-only amplitudes that validate_stack has passed, not checked again."""
+        state = object.__new__(cls)
+        n, d = amplitudes.shape
+        state.__dict__.update(n=n, d=d, amplitudes=amplitudes, renorm_factor=renorm_factor)
+        return state
 
     @property
     def norm(self) -> float:
@@ -132,31 +141,58 @@ def validate_state(raw, renormalize: bool = False) -> PureBipartiteState:
     The global norm must be within NORM_TOL of 1 unless ``renormalize`` is
     set, in which case the state is rescaled and the applied factor recorded
     on the returned object.  A norm too large for a float raises NormError,
-    and so does PureBipartiteState for a NaN or infinite amplitude.
+    and so does a NaN or infinite amplitude.  This is validate_stack on a
+    stack of one.
     """
     raw = np.asarray(raw, dtype=complex)
     if raw.ndim != 2 or raw.size == 0:
         raise DimensionMismatchError(f"expected a nonempty 2-d matrix, got shape {raw.shape}")
-    parts = np.ascontiguousarray(raw).view(float)  # einsum, not a BLAS dot: its order
-    with np.errstate(over="ignore"):                # does not follow the thread count
-        norm = math.sqrt(np.einsum("ij,ij->", parts, parts))
+    return validate_stack(raw[None], renormalize)[0]
+
+
+def validate_stack(raw, renormalize: bool = False, name=None) -> list[PureBipartiteState]:
+    """validate_state on each matrix of a nonempty (B, n, d) stack, in one pass.
+
+    One einsum takes every norm; a NaN amplitude makes its matrix's norm NaN
+    and an infinite one inf, so the norms alone decide finiteness, and the
+    states are built without the constructor's second norm.  The first
+    refused matrix raises validate_state's error.  ``name(i)``, if given,
+    names matrix i in the refusal, which then offers no rescale: for callers
+    whose states must not be rescaled into plausible numbers.
+    """
+    amps = np.array(raw, dtype=complex, order="C")  # the states' own copy
+    parts = amps.view(float).reshape(len(amps), -1)  # einsum, not a BLAS dot: its order
+    with np.errstate(over="ignore"):                 # does not follow the thread count
+        norms = np.sqrt(np.einsum("bi,bi->b", parts, parts)).tolist()
+    factors = []
+    for i, norm in enumerate(norms):  # a NaN norm fails both tests
+        if not (ZERO_NORM_TOL <= norm < math.inf if renormalize else abs(norm - 1.0) <= NORM_TOL):
+            _refuse(norm, "" if name is None else f" at {name(i)}")
+        factor = 1.0
+        if abs(norm - 1.0) > 1e-12:
+            # Rescale; deviations below 1e-12 are left untouched so canonical
+            # files round-trip bitwise.
+            factor = 1.0 / norm
+            amps[i] *= factor
+        factors.append(factor)
+    amps.flags.writeable = False
+    return [PureBipartiteState.from_checked(a, f) for a, f in zip(amps, factors)]
+
+
+def _refuse(norm: float, where: str):
+    """Raise validate_state's error for a refused norm; a named matrix gets no rescale hint."""
+    if math.isnan(norm):
+        raise NormError(f"state has a NaN or infinite amplitude{where}")
     if norm == math.inf:  # an infinite amplitude, or ones above ~1e154 that rescaling would zero
-        raise NormError("state norm overflows a float (an amplitude is infinite or too large)")
-    if norm < ZERO_NORM_TOL:
-        raise ZeroStateError(f"state norm {norm} below {ZERO_NORM_TOL}")
-    if abs(norm - 1.0) > NORM_TOL and not renormalize:
         raise NormError(
-            f"state norm {norm} outside [1-{NORM_TOL}, 1+{NORM_TOL}]; "
-            "pass renormalize=True to rescale"
+            f"state norm{where} overflows a float (an amplitude is infinite or too large)"
         )
-    factor = 1.0
-    if abs(norm - 1.0) > 1e-12:
-        # Rescale; deviations below 1e-12 are left untouched so canonical
-        # files round-trip bitwise.
-        factor = 1.0 / norm
-        raw = raw * factor
-    n, d = raw.shape
-    return PureBipartiteState(n=n, d=d, amplitudes=raw, renorm_factor=factor)
+    if norm < ZERO_NORM_TOL:
+        raise ZeroStateError(f"state norm {norm}{where} below {ZERO_NORM_TOL}")
+    raise NormError(
+        f"state norm {norm}{where} outside [1-{NORM_TOL}, 1+{NORM_TOL}]"
+        + ("" if where else "; pass renormalize=True to rescale")
+    )
 
 
 def projected_states(state: PureBipartiteState, side: str = "M") -> np.ndarray:

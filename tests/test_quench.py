@@ -91,7 +91,8 @@ def test_hamiltonian_matches_kron_reference(length, model, coupling, field_stren
     np.testing.assert_allclose(h, kron_hamiltonian(cfg), rtol=0.0, atol=1e-14)
 
 
-@pytest.mark.parametrize("length", range(2, MAX_LENGTH + 1))
+# The dense H takes 2^(2L) floats, so this comparison stops at L = 12
+@pytest.mark.parametrize("length", range(2, 13))
 @pytest.mark.parametrize("model", ["tfi", "xxz"])
 @pytest.mark.parametrize("coupling, field_strength, anisotropy", EDGE_COUPLINGS)
 def test_triples_are_the_nonzero_entries(length, model, coupling, field_strength, anisotropy):
@@ -116,6 +117,43 @@ def test_triples_are_the_nonzero_entries(length, model, coupling, field_strength
         assert set(zip(rows.tolist(), cols.tolist())) == set(
             zip(*(x.tolist() for x in np.nonzero(kron_hamiltonian(cfg))))
         )
+
+
+def bit_rule_product(cfg, v):
+    """H v from the bits of each index, with no triples: the ZZ diagonal,
+    then the coupling times v[idx ^ mask] for each site (TFI) or each
+    antiparallel bond (XXZ)."""
+    L, J = cfg.length, cfg.coupling
+    idx = np.arange(2**L)
+    spins = (idx[:, None] >> (L - 1 - np.arange(L))) & 1  # column i is site i
+    anti = spins[:, :-1] ^ spins[:, 1:]
+    zz = (1 - 2 * anti).sum(axis=1)
+    if cfg.model == "tfi":
+        return -J * zz * v - cfg.field_strength * sum(v[idx ^ (1 << i)] for i in range(L))
+    hops = sum(anti[:, i] * v[idx ^ (3 << (L - 2 - i))] for i in range(L - 1))
+    return J * cfg.anisotropy * zz * v + 2 * J * hops
+
+
+@pytest.mark.parametrize("length", range(2, MAX_LENGTH + 1))
+@pytest.mark.parametrize("model", ["tfi", "xxz"])
+@pytest.mark.parametrize("coupling, field_strength, anisotropy", EDGE_COUPLINGS)
+def test_banded_product_matches_the_bit_rule_reference(
+    length, model, coupling, field_strength, anisotropy
+):
+    # The recurrence's product with the triples against H v built from the
+    # bits alone.  With h = 0 or Delta = 0 the rows hold different numbers
+    # of triples, some none, so the padding of the bands takes part
+    cfg = QuenchConfig(
+        model=model, length=length, cut=1, tmax=1.0, steps=1, coupling=coupling,
+        field_strength=field_strength, anisotropy=anisotropy,
+    )
+    v = np.random.default_rng(length).standard_normal(2**length)
+    reference = bit_rule_product(cfg, v)
+    # Coefficients (0, 2) pick 2 v_1 = p v0 out of the recurrence, with p = H
+    product = _chebyshev_sum(hamiltonian_triples(cfg), v, np.array([[0.0], [2.0]]))[0]
+    np.testing.assert_allclose(
+        product, reference, rtol=0.0, atol=1e-14 * np.abs(reference).max()
+    )
 
 
 @pytest.mark.parametrize("model", ["tfi", "xxz"])
@@ -390,11 +428,16 @@ def test_kets_that_lose_norm_raise(monkeypatch, capsys, caplog):
     terms = espent.quench._chebyshev_terms
     monkeypatch.setattr(espent.quench, "_chebyshev_terms", lambda x: max(1, terms(x) // 2))
     cfg = QuenchConfig(model="tfi", length=6, cut=3, tmax=2.0, steps=4)
-    with pytest.raises(NormError, match="state norm"):
+    times = np.linspace(0.0, cfg.tmax, cfg.steps + 1)
+    kets = _evolve(*hamiltonian_triples(cfg), initial_product_state(cfg), times)
+    first = times[np.argmax(abs(np.linalg.norm(kets, axis=0) - 1.0) > 1e-6)]
+    # The refusal names the first time point off norm and offers no rescale
+    with pytest.raises(NormError, match=f"state norm .* at t = {first} outside") as refused:
         quench_trajectory(cfg)
+    assert "renormalize" not in str(refused.value)
     argv = ["--length", "6", "--cut", "3", "--tmax", "2", "--steps", "4"]
     assert main(["quench", "--model", "tfi", *argv]) == EXIT_PARSE
-    assert len(caplog.records) == 1 and "state norm" in caplog.text
+    assert len(caplog.records) == 1 and str(refused.value) in caplog.text
     assert capsys.readouterr().out == ""
 
 

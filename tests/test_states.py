@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import espent
 from espent import (
@@ -22,7 +24,7 @@ from espent import (
     spectrum,
     validate_state,
 )
-from espent.states import ReducedDensityMatrix, eigvalsh_spectra
+from espent.states import ReducedDensityMatrix, eigvalsh_spectra, validate_stack
 from conftest import random_bell, random_product_state
 
 
@@ -73,6 +75,58 @@ def test_validate_rejects_norm_overflow(big, renormalize):
 def test_validate_dimension_errors():
     with pytest.raises(DimensionMismatchError):
         validate_state(np.ones(3))
+
+
+# How a matrix departs from norm 1: a relative norm offset, or one bad amplitude
+DEPARTURES = [0.0, 5e-13, -5e-13, 1e-9, -1e-9, 2e-6, -2e-6, np.nan, np.inf, complex(0.0, -np.inf)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    departures=st.lists(st.sampled_from(DEPARTURES), min_size=1, max_size=5),
+    n=st.integers(1, 5), d=st.integers(1, 5), renormalize=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stack_route_is_validate_states_route(departures, n, d, renormalize, seed):
+    # Matrix by matrix, the stack gives validate_state's bytes and factor,
+    # or, for the first matrix validate_state refuses, its error
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((len(departures), n, d, 2)).view(complex)[..., 0]
+    stack /= np.linalg.norm(stack, axis=(1, 2))[:, None, None]
+    for matrix, departure in zip(stack, departures):
+        if np.isfinite(departure):
+            matrix *= 1.0 + departure
+        else:
+            matrix[rng.integers(n), rng.integers(d)] = departure
+    expected = []
+    for matrix in stack:
+        try:
+            expected.append(validate_state(matrix, renormalize=renormalize))
+        except ValueError as exc:
+            expected.append(exc)
+            break
+    try:
+        states = validate_stack(stack, renormalize=renormalize)
+    except ValueError as exc:
+        assert type(exc) is type(expected[-1]) and str(exc) == str(expected[-1])
+        return
+    assert len(states) == len(expected) == len(stack)
+    for state, ref in zip(states, expected):
+        assert (state.n, state.d, state.renorm_factor) == (ref.n, ref.d, ref.renorm_factor)
+        assert state.amplitudes.tobytes() == ref.amplitudes.tobytes()
+        assert not state.amplitudes.flags.writeable
+        # What the stack passes, the checked constructor passes too
+        PureBipartiteState(n, d, state.amplitudes, state.renorm_factor)
+
+
+@pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.inf)])
+def test_directly_built_state_keeps_every_check(bad):
+    amps = np.eye(2, dtype=complex) / np.sqrt(2.0)
+    with pytest.raises(NormError, match="squared norm"):
+        PureBipartiteState(n=2, d=2, amplitudes=1.001 * amps)
+    amps[0, 1] = bad
+    with pytest.raises(NormError, match="NaN or infinite"):
+        PureBipartiteState(n=2, d=2, amplitudes=amps)
 
 
 def test_projected_states_bell(bell_state):
