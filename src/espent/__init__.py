@@ -47,7 +47,7 @@ from .fermions import (
     fermionic_encoding_probability,
 )
 from .io import parse_state_file, serialize_state, state_to_dict, write_state_file
-from .quench import QuenchConfig, build_hamiltonian, hamiltonian_triples, quench_trajectory
+from .quench import QuenchConfig, build_hamiltonian, quench_trajectory
 from .report import AnalysisOptions, AnalysisReport, analyze, analyze_batch
 from .states import (
     PureBipartiteState,

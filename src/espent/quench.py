@@ -5,9 +5,11 @@ analyzes all times in one batch, so the growth of the truncated entropies
 can be tracked alongside the von Neumann entropy.  The evolution is a
 Chebyshev expansion of exp(-iHt) (Tal-Ezer & Kosloff, J. Chem. Phys. 81,
 3967 (1984)) on the basis states the initial ket reaches, each term one
-gather and one contraction over row-padded bands of H's nonzero triples,
-truncated where the Bessel tail is below TAIL = 1e-16 (quench_trajectory).
-The kets are validated once per trajectory, as one stack.
+gather and one contraction over bands of H built from bit rules (one XOR
+mask a band), scaled to an interval that Anderson's cluster bound proves
+holds H's spectrum, and truncated where the Bessel tail is below TAIL =
+1e-16 (quench_trajectory).  The kets are validated once per trajectory, as
+one stack.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ MAX_LENGTH = 12
 MAX_TERMS = 2**14      # Chebyshev terms per trajectory: the cost grows with half-width x tmax
 TAIL = 1e-16           # bound on the Bessel tail the expansion drops
 _CHUNK = 64            # terms per gemm into the kets
+_WINDOW = 3            # sites per window of the cluster bound (spectral_interval)
+_PAD = 1e-12           # rounding pad of spectral_interval, relative to sum_w ||h_w||
 
 
 @dataclass(frozen=True)
@@ -67,42 +71,83 @@ class QuenchConfig:
             raise InvalidOptionError(f"initial must be 'up' or 'neel', got {self.initial!r}")
 
 
-def hamiltonian_triples(config: QuenchConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """H's nonzero entries as (rows, cols, values), each (row, col) once.
+def _bit_rules(
+    config: QuenchConfig, bond_weight: np.ndarray, site_weight: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """H on n sites as bands: columns (W, 2^n) and values (..., W, 2^n), with
+    bond b's coupling times bond_weight[..., b] and site i's field times
+    site_weight[..., i] (n - 1 bonds, n sites).
 
-    From bit operations on basis indices: site i is bit L-1-i (site 0 is the
-    most significant bit) and spin up is bit 0, so Z_i Z_{i+1} is diagonal and
-    X_i flips one bit.  Both models are real symmetric; zeros are dropped.
-    The diagonal is one coupling times sum Z_i Z_{i+1} = L - 1 - 2 (antiparallel
-    bonds), rounded once, so it is bitwise equal on reflected indices."""
-    L, J = config.length, config.coupling
-    idx = np.arange(2**L)
-    zz_sum = np.full(idx.size, L - 1)
-    hops = []  # (rows, cols, values) off the diagonal
-    for i in range(L - 1):
-        anti = np.flatnonzero(((idx >> (L - 2 - i)) ^ (idx >> (L - 1 - i))) & 1)
-        zz_sum[anti] -= 2
-        if config.model == "xxz":
-            # XX + YY swaps an antiparallel pair with amplitude 2
-            hops.append((anti, anti ^ (3 << (L - 2 - i)), np.full(anti.size, 2 * J)))
+    Site i is bit n-1-i of a basis index (site 0 is the most significant bit)
+    and spin up is bit 0, so Z_i Z_{i+1} is diagonal and X_i flips one bit.
+    Band 0 is the diagonal; every other band is one XOR mask, col = row ^ mask:
+    1 << i flips site n-1-i (TFI), and 3 << (n-2-b) swaps the pair on bond b,
+    with the value 0 where it is parallel (XXZ).  At unit weights the diagonal
+    is one coupling times sum Z_i Z_{i+1} = n - 1 - 2 (antiparallel bonds), an
+    exact integer, so it is bitwise equal on reflected indices."""
+    n = site_weight.shape[-1]
+    idx = np.arange(2**n)
+    low = np.arange(n - 2, -1, -1)[:, None]  # bond b joins bits n-2-b and n-1-b
+    anti = ((idx >> low) ^ (idx >> (low + 1))) & 1
+    zz = bond_weight @ (1 - 2 * anti)
+    J = config.coupling
     if config.model == "tfi":
         # H = -J sum Z_i Z_{i+1} - h sum X_i
-        diag = -J * zz_sum
-        hops += [(idx, idx ^ (1 << i), np.full(idx.size, -config.field_strength)) for i in range(L)]
+        masks = 1 << np.arange(n)
+        diag = -J * zz
+        field = -config.field_strength * site_weight[..., ::-1, None]
+        hops = np.broadcast_to(field, (*site_weight.shape, idx.size))
     else:
-        # H = J sum (X_i X_{i+1} + Y_i Y_{i+1} + Delta Z_i Z_{i+1})
-        diag = J * config.anisotropy * zz_sum
-    rows, cols, vals = map(np.concatenate, zip((idx, idx, diag), *hops))
-    keep = vals != 0.0
-    return rows[keep], cols[keep], vals[keep]
+        # H = J sum (X_i X_{i+1} + Y_i Y_{i+1} + Delta Z_i Z_{i+1}); XX + YY
+        # swaps an antiparallel pair with amplitude 2
+        masks = 3 << low[:, 0]
+        diag = J * config.anisotropy * zz
+        hops = np.where(anti, 2.0 * J * bond_weight[..., None], 0.0)
+    cols = idx ^ np.concatenate([[0], masks])[:, None]
+    return cols, np.concatenate([diag[..., None, :], hops], axis=-2)
+
+
+def hamiltonian_bands(config: QuenchConfig) -> tuple[np.ndarray, np.ndarray]:
+    """H as (W, 2^L) band columns and values from the bit rules (_bit_rules):
+    band 0 the ZZ diagonal, band w > 0 one XOR mask.  Each (row, col) occurs
+    once; entries that H does not hold have the value 0."""
+    return _bit_rules(config, np.ones(config.length - 1), np.ones(config.length))
+
+
+def _dense(cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The (..., 2^n, 2^n) matrices that bands hold."""
+    h = np.zeros((*vals.shape[:-2], cols.shape[1], cols.shape[1]))
+    h[..., np.arange(cols.shape[1]), cols] = vals
+    return h
 
 
 def build_hamiltonian(config: QuenchConfig) -> np.ndarray:
-    """Dense 2^L x 2^L view of hamiltonian_triples; the quench never builds it."""
-    h = np.zeros((2**config.length, 2**config.length))
-    rows, cols, vals = hamiltonian_triples(config)
-    h[rows, cols] = vals
-    return h
+    """Dense 2^L x 2^L view of hamiltonian_bands; the quench never builds it."""
+    return _dense(*hamiltonian_bands(config))
+
+
+def spectral_interval(config: QuenchConfig) -> tuple[float, float]:
+    """[lo, hi] holding H's spectrum, by Anderson's cluster bound (Phys. Rev. 83,
+    1260 (1951)).
+
+    H is the sum over the L - _WINDOW + 1 windows of _WINDOW adjacent sites
+    (one window of all L sites when L < _WINDOW) of h_w, whose bonds and
+    fields are H's, each weighted 1 / (number of windows that hold it).  By
+    Weyl's inequality the spectrum of H lies in
+    [sum_w min eig h_w, sum_w max eig h_w].  The h_w come from the same bit
+    rules as H, and their eigenvalues from one stacked eigvalsh.  The interval
+    is widened by _PAD sum_w ||h_w||: room for the rounding of the weights,
+    of eigvalsh and of the sums, so a zero H keeps [0, 0]."""
+    L = config.length
+    n = min(_WINDOW, L)
+    starts = np.arange(L - n + 1)[:, None]
+    bonds, sites = starts + np.arange(n - 1), starts + np.arange(n)
+    bond_count, site_count = np.bincount(bonds.ravel()), np.bincount(sites.ravel())
+    evals = np.linalg.eigvalsh(
+        _dense(*_bit_rules(config, 1.0 / bond_count[bonds], 1.0 / site_count[sites]))
+    )
+    pad = _PAD * np.abs(evals).max(axis=1).sum()
+    return float(evals[:, 0].sum() - pad), float(evals[:, -1].sum() + pad)
 
 
 def initial_product_state(config: QuenchConfig) -> np.ndarray:
@@ -157,31 +202,16 @@ def _chebyshev_table(center: float, half: float, times: np.ndarray, terms: int) 
     return table
 
 
-def _bands(p, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """p's triples (rows, cols, values) on 0..size-1 as row-padded bands (ELLPACK;
-    Rice & Boisvert, 1985): (W, size) arrays of columns and values, W the most
-    triples in a row.  Band w of row r holds the w-th triple of row r in triple
-    order, or a zero value at column 0 past its last."""
-    rows, cols, vals = p
-    count = np.bincount(rows, minlength=size)
-    order = np.argsort(rows, kind="stable")
-    band = (np.arange(rows.size) - np.repeat(np.cumsum(count) - count, count), rows[order])
-    band_cols = np.zeros((count.max(), size), dtype=np.intp)
-    band_vals = np.zeros(band_cols.shape)
-    band_cols[band], band_vals[band] = cols[order], vals[order]
-    return band_cols, band_vals
-
-
 def _chebyshev_sum(p, v0: np.ndarray, table: np.ndarray) -> np.ndarray:
     """sum_m table[m] v_m as a (columns, v0.size) array, v_m = T_m(p / 2) v0.
 
-    p is given by its triples (rows, cols, values) on the indices of v0,
-    laid out once as _bands, so each product (p v)_r is one gather and one
-    sum over the bands, in triple order.  The recurrence is
-    v_{m+1} = p v_m - v_{m-1} from v_1 = p v0 / 2.  The v_m of _CHUNK terms
-    at a time fill a ring buffer that one real gemm adds to the sum, so
-    memory does not grow with the number of terms."""
-    band_cols, band_vals = _bands(p, v0.size)
+    p is given by its bands (columns, values), each (W, v0.size) on the
+    indices of v0, so each product (p v)_r is one gather and one sum over
+    the bands.  The recurrence is v_{m+1} = p v_m - v_{m-1} from
+    v_1 = p v0 / 2.  The v_m of _CHUNK terms at a time fill a ring buffer
+    that one real gemm adds to the sum, so memory does not grow with the
+    number of terms."""
+    band_cols, band_vals = p
     terms = table.shape[0]
     ring = np.empty((min(terms, _CHUNK), v0.size))
     acc = np.zeros((table.shape[1], v0.size))
@@ -200,15 +230,11 @@ def _chebyshev_sum(p, v0: np.ndarray, table: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _evolve(rows, cols, vals, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """exp(-i H t) psi0 for each t, as columns, from H's triples; see quench_trajectory."""
-    dim = psi0.size
-    # Gershgorin interval [center - half, center + half] of H: it also holds
-    # the spectrum of H on the reached states, an invariant subspace
-    off = rows != cols
-    radius = np.bincount(rows[off], np.abs(vals[off]), minlength=dim)
-    diag = np.bincount(rows[~off], vals[~off], minlength=dim)
-    lo, hi = float(np.min(diag - radius)), float(np.max(diag + radius))
+def _evolve(bands, interval, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """exp(-i H t) psi0 for each t, as columns, from H's bands and an interval
+    [lo, hi] that holds its spectrum; see quench_trajectory."""
+    cols, vals = bands
+    lo, hi = interval
     center, half, tmax = (hi + lo) / 2.0, (hi - lo) / 2.0, float(times.max())
     terms = _chebyshev_terms(half * tmax)
     if terms > MAX_TERMS or terms * times.size > MAX_AMPLITUDES:
@@ -218,25 +244,24 @@ def _evolve(rows, cols, vals, psi0: np.ndarray, times: np.ndarray) -> np.ndarray
             f" {times.size} times; at most {MAX_TERMS} terms and {MAX_AMPLITUDES} terms x times"
         )
     table = _chebyshev_table(center, half, times, terms)
+    nonzero = vals != 0.0
     reached = frontier = psi0 != 0
     while frontier.any():
-        grown = np.zeros(dim, dtype=bool)
-        grown[cols[frontier[rows]]] = True
+        grown = np.zeros(psi0.size, dtype=bool)
+        grown[cols[nonzero & frontier]] = True
         frontier = grown & ~reached
         reached = reached | frontier
-    # p = 2 (H - center) / half on the k reached states, renumbered 0..k-1:
-    # its whole diagonal, then H's off-diagonal triples there
+    # p = 2 (H - center) / half on the k reached states, renumbered 0..k-1;
+    # the spectrum of H there, an invariant subspace, lies in [lo, hi]
     k = np.flatnonzero(reached)
-    hop = off & reached[rows]
+    p_vals = vals[:, k]
+    p_vals[0] -= center
+    p_vals *= 2.0
+    p_vals /= half or 1.0  # 2 / half would overflow at a subnormal half; 0 runs one term
     pos = np.cumsum(reached) - 1
-    p = (
-        pos[np.concatenate([k, rows[hop]])],
-        pos[np.concatenate([k, cols[hop]])],
-        # 2 / half would overflow at a subnormal half; 0 runs one term
-        2.0 * np.concatenate([diag[k] - center, vals[hop]]) / (half or 1.0),
-    )
-    acc = _chebyshev_sum(p, psi0[k], table)
-    kets = np.zeros((dim, times.size), dtype=complex)
+    p_cols = np.where(p_vals != 0.0, pos[cols[:, k]], 0)
+    acc = _chebyshev_sum((p_cols, p_vals), psi0[k], table)
+    kets = np.zeros((psi0.size, times.size), dtype=complex)
     kets[k] = acc[: times.size].T + 1j * acc[times.size :].T
     return kets
 
@@ -247,21 +272,24 @@ def quench_trajectory(
     """Evolve the initial product state; analyze all time points in one batch.
 
     exp(-iHt) psi0 = sum_m c_m(t) T_m((H - center) / half) psi0, where
-    [center - half, center + half] is H's Gershgorin interval and
-    c_m(t) = (2 - delta_m0) (-i)^m J_m(half t) exp(-i center t): one real
-    three-term recurrence serves every time point.  Each term is one sparse
-    product with H's triples on the basis states psi0 reaches through H's
-    nonzero pattern, the only ones the kets can weigh on: one gather and one
-    contraction over the triples laid out as row-padded bands.  The sum stops
-    after the K + 1 terms for which 4 (x/2)^(K+1) / (K+1)! <= TAIL = 1e-16
-    at x = half tmax, which bounds the norm of the dropped tail; there is no
-    Trotter error.  More than MAX_TERMS terms raise TooLargeError before the
-    recurrence starts.  The kets are validated as one stack (validate_stack),
-    and a ket whose norm is off 1 by more than NORM_TOL raises NormError
-    naming its time point instead of being rescaled into plausible numbers.
+    [center - half, center + half] is spectral_interval's cluster bound on
+    H's spectrum and c_m(t) = (2 - delta_m0) (-i)^m J_m(half t)
+    exp(-i center t): one real three-term recurrence serves every time
+    point.  Each term is one sparse product with H's bands (hamiltonian_bands)
+    on the basis states psi0 reaches through H's nonzero entries, the only
+    ones the kets can weigh on: one gather and one contraction over the
+    bands.  The sum stops after the K + 1 terms for which
+    4 (x/2)^(K+1) / (K+1)! <= TAIL = 1e-16 at x = half tmax, which bounds
+    the norm of the dropped tail; there is no Trotter error.  More than
+    MAX_TERMS terms raise TooLargeError before the recurrence starts.  The
+    kets are validated as one stack (validate_stack), and a ket whose norm
+    is off 1 by more than NORM_TOL raises NormError naming its time point
+    instead of being rescaled into plausible numbers.
     """
     times = np.linspace(0.0, config.tmax, config.steps + 1)
-    kets = _evolve(*hamiltonian_triples(config), initial_product_state(config), times)
+    kets = _evolve(
+        hamiltonian_bands(config), spectral_interval(config), initial_product_state(config), times
+    )
     stack = kets.T.reshape(times.size, 2**config.cut, -1)
     states = validate_stack(stack, name=lambda i: f"t = {times[i]}")
     return list(zip(times.tolist(), analyze_batch(states, options)))

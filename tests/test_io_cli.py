@@ -614,15 +614,15 @@ def test_cli_quench_invalid_option(capsys, caplog, options, message):
 
 @pytest.mark.parametrize("tmax", ["1e9", "1e308"])
 def test_cli_quench_term_bound(capsys, caplog, tmax):
-    # Refused from the Gershgorin interval, before the recurrence: the
-    # Chebyshev terms grow with the spectral half-width (23 at L=12) x tmax,
-    # and 1e308 overflows that product
+    # Refused from the cluster bound on H's spectrum, before the recurrence:
+    # the Chebyshev terms grow with the spectral half-width (15.7161 at L=12)
+    # x tmax, and 1e308 overflows that product
     start = time.perf_counter()
     argv = ["--length", "12", "--cut", "6", "--tmax", tmax, "--steps", "20"]
     assert main(["quench", "--model", "tfi", *argv]) == EXIT_PARSE
     assert time.perf_counter() - start < 1.0
     assert [r.getMessage() for r in caplog.records] == [
-        f"tmax {float(tmax):g} at spectral half-width 23 needs over 16384 Chebyshev terms"
+        f"tmax {float(tmax):g} at spectral half-width 15.7161 needs over 16384 Chebyshev terms"
         " for 21 times; at most 16384 terms and 16777216 terms x times"
     ]
     assert capsys.readouterr().out == ""

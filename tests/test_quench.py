@@ -23,14 +23,16 @@ from espent import (
 )
 from espent.cli import EXIT_PARSE, main
 from espent.quench import (
+    _PAD,
     MAX_LENGTH,
     TAIL,
     _chebyshev_sum,
     _chebyshev_table,
     _chebyshev_terms,
     _evolve,
-    hamiltonian_triples,
+    hamiltonian_bands,
     initial_product_state,
+    spectral_interval,
 )
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -58,7 +60,7 @@ def kron_hamiltonian(cfg):
 
 # Non-default couplings: Delta < 0, h = 0, J < 0
 COUPLINGS = [(0.7, 1.3, -0.4), (-1.1, 0.0, 2.5)]
-# Plus h = 0 alone and Delta = 0, whose zero values the triples drop
+# Plus h = 0 alone and Delta = 0, whose zero values take no part in H's nonzero entries
 EDGE_COUPLINGS = COUPLINGS + [(1.0, 0.0, 1.0), (0.7, 1.3, 0.0)]
 
 
@@ -96,31 +98,39 @@ def test_hamiltonian_matches_kron_reference(length, model, coupling, field_stren
 @pytest.mark.parametrize("model", ["tfi", "xxz"])
 @pytest.mark.parametrize("coupling, field_strength, anisotropy", EDGE_COUPLINGS)
 def test_triples_are_the_nonzero_entries(length, model, coupling, field_strength, anisotropy):
-    # Zero values are dropped as np.nonzero drops them (with h = 0 or
-    # Delta = 0 they would change the reached set), and each (row, col)
-    # occurs once; the recurrence's sparse product of the triples is H v
+    # The bands' nonzero (row, col, value) triples are H's nonzero entries,
+    # as np.nonzero finds them (with h = 0 or Delta = 0 the zero values would
+    # change the reached set), each (row, col) occurs once in the bands, and
+    # the recurrence's banded product is H v
     cfg = QuenchConfig(
         model=model, length=length, cut=1, tmax=1.0, steps=1, coupling=coupling,
         field_strength=field_strength, anisotropy=anisotropy,
     )
-    rows, cols, vals = hamiltonian_triples(cfg)
-    triples = set(zip(rows.tolist(), cols.tolist(), vals.tolist()))
+    cols, vals = hamiltonian_bands(cfg)
+    assert cols.shape == vals.shape and cols.shape[1] == 2**length
+    rows = np.broadcast_to(np.arange(2**length), cols.shape)
+    assert np.unique(rows * 2**length + cols).size == cols.size
+    live = vals != 0.0
+    triples = set(zip(rows[live].tolist(), cols[live].tolist(), vals[live].tolist()))
     h = build_hamiltonian(cfg)
     nonzero = np.nonzero(h)
-    assert len(triples) == rows.size == len(set(zip(rows.tolist(), cols.tolist())))
     assert triples == set(zip(*(x.tolist() for x in nonzero), h[nonzero].tolist()))
     # Coefficients (0, 2) pick 2 v_1 = p v0 out of the recurrence, with p = H
     v = np.random.default_rng(length).standard_normal(h.shape[0])
-    product = _chebyshev_sum((rows, cols, vals), v, np.array([[0.0], [2.0]]))[0]
+    product = _chebyshev_sum((cols, vals), v, np.array([[0.0], [2.0]]))[0]
     np.testing.assert_allclose(product, h @ v, rtol=0.0, atol=1e-14 * np.abs(h @ v).max())
     if length <= 6:
-        assert set(zip(rows.tolist(), cols.tolist())) == set(
-            zip(*(x.tolist() for x in np.nonzero(kron_hamiltonian(cfg))))
+        # Against the Kronecker H: the same nonzero pattern, and every
+        # padding entry, where it has none, holds exactly 0.0
+        kron = kron_hamiltonian(cfg)
+        assert set(zip(rows[live].tolist(), cols[live].tolist())) == set(
+            zip(*(x.tolist() for x in np.nonzero(kron)))
         )
+        assert np.all(vals[kron[rows, cols] == 0.0] == 0.0)
 
 
 def bit_rule_product(cfg, v):
-    """H v from the bits of each index, with no triples: the ZZ diagonal,
+    """H v from the bits of each index, with no bands: the ZZ diagonal,
     then the coupling times v[idx ^ mask] for each site (TFI) or each
     antiparallel bond (XXZ)."""
     L, J = cfg.length, cfg.coupling
@@ -140,9 +150,9 @@ def bit_rule_product(cfg, v):
 def test_banded_product_matches_the_bit_rule_reference(
     length, model, coupling, field_strength, anisotropy
 ):
-    # The recurrence's product with the triples against H v built from the
+    # The recurrence's product with the bands against H v built from the
     # bits alone.  With h = 0 or Delta = 0 the rows hold different numbers
-    # of triples, some none, so the padding of the bands takes part
+    # of nonzero entries, some none, so the zero values of the bands take part
     cfg = QuenchConfig(
         model=model, length=length, cut=1, tmax=1.0, steps=1, coupling=coupling,
         field_strength=field_strength, anisotropy=anisotropy,
@@ -150,7 +160,7 @@ def test_banded_product_matches_the_bit_rule_reference(
     v = np.random.default_rng(length).standard_normal(2**length)
     reference = bit_rule_product(cfg, v)
     # Coefficients (0, 2) pick 2 v_1 = p v0 out of the recurrence, with p = H
-    product = _chebyshev_sum(hamiltonian_triples(cfg), v, np.array([[0.0], [2.0]]))[0]
+    product = _chebyshev_sum(hamiltonian_bands(cfg), v, np.array([[0.0], [2.0]]))[0]
     np.testing.assert_allclose(
         product, reference, rtol=0.0, atol=1e-14 * np.abs(reference).max()
     )
@@ -180,7 +190,8 @@ def test_trajectory_reports_match_analyze_per_ket(model, length, cut):
     cfg = QuenchConfig(model=model, length=length, cut=cut, tmax=2.0, steps=8)
     options = AnalysisOptions(r_max=3)
     times = np.linspace(0.0, cfg.tmax, cfg.steps + 1)
-    kets = _evolve(*hamiltonian_triples(cfg), initial_product_state(cfg), times)
+    psi0 = initial_product_state(cfg)
+    kets = _evolve(hamiltonian_bands(cfg), spectral_interval(cfg), psi0, times)
     for (t, report), ket, t_ref in zip(quench_trajectory(cfg, options), kets.T, times):
         state = validate_state(ket.reshape(2**cut, -1))
         assert t == t_ref
@@ -319,11 +330,14 @@ def assert_matches_sector_eigh(cfg, per_radian=0.0):
     """Kets within 1e-13 + per_radian x of the eigh reference, x = ||H||_inf tmax
     the most phase any eigenvalue turns through; psi(0) = psi0 bitwise, norms 1 to 1e-13."""
     times = np.linspace(0.0, cfg.tmax, cfg.steps + 1)
-    triples, psi0 = hamiltonian_triples(cfg), initial_product_state(cfg)
-    kets = _evolve(*triples, psi0, times)
-    x = cfg.tmax * np.bincount(triples[0], np.abs(triples[2]), minlength=psi0.size).max()
+    psi0 = initial_product_state(cfg)
+    kets = _evolve(hamiltonian_bands(cfg), spectral_interval(cfg), psi0, times)
+    h = build_hamiltonian(cfg)
+    rows, cols = np.nonzero(h)
+    x = cfg.tmax * np.abs(h).sum(axis=1).max()
     np.testing.assert_allclose(
-        kets, evolve_by_sector_eigh(*triples, psi0, times), rtol=0.0, atol=1e-13 + per_radian * x
+        kets, evolve_by_sector_eigh(rows, cols, h[rows, cols], psi0, times), rtol=0.0,
+        atol=1e-13 + per_radian * x,
     )
     assert np.array_equal(kets[:, 0], psi0)
     np.testing.assert_allclose(np.linalg.norm(kets, axis=0), 1.0, rtol=0.0, atol=1e-13)
@@ -374,7 +388,7 @@ def test_chebyshev_kets_match_sector_eigh_property(
     ],
 )
 def test_zero_hamiltonian_and_zero_tmax_keep_psi0(model, coupling, field_strength, tmax):
-    # H = 0 has no triples and a zero Gershgorin interval; tmax = 0 has
+    # H = 0 has no nonzero entries and the interval [0, 0]; tmax = 0 has
     # every time at 0.  Either way each ket is psi0, bitwise
     cfg = QuenchConfig(
         model=model, length=6, cut=3, tmax=tmax, steps=4, coupling=coupling,
@@ -382,7 +396,9 @@ def test_zero_hamiltonian_and_zero_tmax_keep_psi0(model, coupling, field_strengt
     )
     times = np.linspace(0.0, cfg.tmax, cfg.steps + 1)
     psi0 = initial_product_state(cfg)
-    kets = _evolve(*hamiltonian_triples(cfg), psi0, times)
+    if coupling == field_strength == 0.0:
+        assert spectral_interval(cfg) == (0.0, 0.0)
+    kets = _evolve(hamiltonian_bands(cfg), spectral_interval(cfg), psi0, times)
     assert np.array_equal(kets, np.repeat(psi0[:, None], times.size, axis=1))
     for _, report in quench_trajectory(cfg, AnalysisOptions(r_max=2)):
         assert report.entropies["von_neumann_direct"] == 0.0
@@ -407,7 +423,7 @@ def test_chebyshev_coefficients_are_bessel_values_with_the_tail_below_bound(x):
 @pytest.mark.parametrize(
     "tmax, steps, message",
     [(1e9, 20, "over 16384 Chebyshev terms for 21 times"),
-     (150.0, 4095, "needs 4722 Chebyshev terms for 4096 times")],
+     (250.0, 4095, "needs 5374 Chebyshev terms for 4096 times")],
 )
 def test_term_bound_fires_before_any_block(monkeypatch, tmax, steps, message):
     # Too many terms, or a coefficient table of terms x times beyond
@@ -417,9 +433,85 @@ def test_term_bound_fires_before_any_block(monkeypatch, tmax, steps, message):
 
     monkeypatch.setattr(espent.quench, "_chebyshev_table", fail)
     cfg = QuenchConfig(model="tfi", length=12, cut=6, tmax=tmax, steps=steps)
-    triples = hamiltonian_triples(cfg)
+    bands, interval = hamiltonian_bands(cfg), spectral_interval(cfg)
     with pytest.raises(TooLargeError, match=message):
-        _evolve(*triples, initial_product_state(cfg), np.linspace(0.0, tmax, steps + 1))
+        _evolve(bands, interval, initial_product_state(cfg), np.linspace(0.0, tmax, steps + 1))
+
+
+def assert_interval_holds_the_spectrum(cfg):
+    """The cluster bound encloses H's eigenvalues, and it is never wider than
+    H's Gershgorin interval by more than its pad, which is at most _PAD times
+    the sum of the terms' norms, itself at most Gershgorin's width."""
+    lo, hi = spectral_interval(cfg)
+    h = build_hamiltonian(cfg)
+    evals = np.linalg.eigvalsh(h)
+    assert lo <= evals[0] and evals[-1] <= hi
+    diag = np.diag(h)
+    radius = np.abs(h).sum(axis=1) - np.abs(diag)
+    width = (diag + radius).max() - (diag - radius).min()
+    assert hi - lo <= width * (1.0 + 2.0 * _PAD)
+
+
+couplings_or_zero = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    length=st.integers(2, 10), model=st.sampled_from(["tfi", "xxz"]),
+    coupling=couplings_or_zero, field_strength=couplings_or_zero, anisotropy=couplings_or_zero,
+)
+def test_spectral_interval_holds_the_spectrum(length, model, coupling, field_strength, anisotropy):
+    assert_interval_holds_the_spectrum(QuenchConfig(
+        model=model, length=length, cut=1, tmax=1.0, steps=1, coupling=coupling,
+        field_strength=field_strength, anisotropy=anisotropy,
+    ))
+
+
+@pytest.mark.parametrize("length", range(2, 11))
+@pytest.mark.parametrize("model", ["tfi", "xxz"])
+@pytest.mark.parametrize("coupling, field_strength, anisotropy", [(1.0, 1.0, 1.0)] + EDGE_COUPLINGS)
+def test_spectral_interval_holds_the_spectrum_at_edge_couplings(
+    length, model, coupling, field_strength, anisotropy
+):
+    assert_interval_holds_the_spectrum(QuenchConfig(
+        model=model, length=length, cut=1, tmax=1.0, steps=1, coupling=coupling,
+        field_strength=field_strength, anisotropy=anisotropy,
+    ))
+
+
+@pytest.mark.parametrize("length", [2, 3])
+@pytest.mark.parametrize("model", ["tfi", "xxz"])
+@pytest.mark.parametrize("coupling, field_strength, anisotropy", [(1.0, 1.0, 1.0)] + EDGE_COUPLINGS)
+def test_spectral_interval_is_exact_on_one_window(
+    length, model, coupling, field_strength, anisotropy
+):
+    # Up to 3 sites one window holds all of H, with every weight 1, so the
+    # interval is H's extreme eigenvalues widened by the pad alone
+    cfg = QuenchConfig(
+        model=model, length=length, cut=1, tmax=1.0, steps=1, coupling=coupling,
+        field_strength=field_strength, anisotropy=anisotropy,
+    )
+    evals = np.linalg.eigvalsh(build_hamiltonian(cfg))
+    pad = _PAD * np.abs(evals).max()
+    lo, hi = spectral_interval(cfg)
+    assert evals[0] - 2.0 * pad <= lo <= evals[0] and evals[-1] <= hi <= evals[-1] + 2.0 * pad
+
+
+@pytest.mark.parametrize(
+    "model, length, terms", [("tfi", 9, 59), ("xxz", 9, 60), ("tfi", 12, 71), ("xxz", 12, 74)]
+)
+def test_chebyshev_order_at_unit_couplings(monkeypatch, model, length, terms):
+    # tmax 2: H's Gershgorin interval asked for 75, 72, 92 and 89 terms
+    orders = []
+    table = espent.quench._chebyshev_table
+
+    def spy(center, half, times, terms):
+        orders.append(terms)
+        return table(center, half, times, terms)
+
+    monkeypatch.setattr(espent.quench, "_chebyshev_table", spy)
+    quench_trajectory(QuenchConfig(model=model, length=length, cut=1, tmax=2.0, steps=20))
+    assert orders == [terms]
 
 
 def test_kets_that_lose_norm_raise(monkeypatch, capsys, caplog):
@@ -429,7 +521,8 @@ def test_kets_that_lose_norm_raise(monkeypatch, capsys, caplog):
     monkeypatch.setattr(espent.quench, "_chebyshev_terms", lambda x: max(1, terms(x) // 2))
     cfg = QuenchConfig(model="tfi", length=6, cut=3, tmax=2.0, steps=4)
     times = np.linspace(0.0, cfg.tmax, cfg.steps + 1)
-    kets = _evolve(*hamiltonian_triples(cfg), initial_product_state(cfg), times)
+    psi0 = initial_product_state(cfg)
+    kets = _evolve(hamiltonian_bands(cfg), spectral_interval(cfg), psi0, times)
     first = times[np.argmax(abs(np.linalg.norm(kets, axis=0) - 1.0) > 1e-6)]
     # The refusal names the first time point off norm and offers no rescale
     with pytest.raises(NormError, match=f"state norm .* at t = {first} outside") as refused:
@@ -497,23 +590,34 @@ def _bond_0_zz(h, L):
     h[idx, idx] += 0.3 * (1.0 - 2.0 * (((idx >> (L - 1)) ^ (idx >> (L - 2))) & 1))
 
 
-def _perturbed_triples(perturb, config):
-    """hamiltonian_triples with perturb applied to the dense matrix they fill."""
+def _perturbed_bands(perturb, config):
+    """hamiltonian_bands with perturb applied to the dense matrix they fill, as
+    one band for the diagonal and one for each XOR mask that holds an entry."""
     h = build_hamiltonian(config)
     perturb(h, config.length)
     rows, cols = np.nonzero(h)
-    return rows, cols, h[rows, cols]
+    idx = np.arange(h.shape[0])
+    band_cols = idx ^ np.union1d(0, rows ^ cols)[:, None]
+    return band_cols, h[idx, band_cols]
 
 
-def _assert_symmetric(length, rows, cols, vals):
-    """F and R map H's triples onto themselves: g H g = H exactly, for g a permutation."""
+def _assert_symmetric(length, cols, vals):
+    """F and R map H's bands onto bands: g H g = H exactly, for g a permutation.
+
+    Band w holds (r, r ^ m_w).  F r = r ^ (2^L - 1) gives F r ^ m = F (r ^ m),
+    so F keeps each band and moves its rows; R reverses the bits, so
+    R (r ^ m) = R r ^ R m and R takes band m to band R m, or to a zero band
+    where no band holds R m.  Each check is elementwise, linear in 2^L."""
     dim = 2**length
     idx = np.arange(dim)
     refl = sum(((idx >> i) & 1) << (length - 1 - i) for i in range(length))
-    # Sorting key + i value lists each (row, col, value) once, by row then col
-    keys = np.sort(rows * dim + cols + 1j * vals)
-    for name, g in (("spin flip", idx ^ (dim - 1)), ("reflection", refl)):
-        assert np.array_equal(np.sort(g[rows] * dim + g[cols] + 1j * vals), keys), name
+    masks = cols[:, 0]
+    assert np.array_equal(cols, idx ^ masks[:, None]) and np.unique(masks).size == masks.size
+    assert np.array_equal(vals[:, idx ^ (dim - 1)], vals), "spin flip"
+    band = np.full(dim, masks.size)
+    band[masks] = np.arange(masks.size)
+    image = np.vstack([vals, np.zeros(dim)])[band[refl[masks]]]
+    assert np.array_equal(image[:, refl], vals), "reflection"
 
 
 @pytest.mark.parametrize("length", range(2, MAX_LENGTH + 1))
@@ -523,12 +627,13 @@ def test_triples_commute_with_spin_flip_and_reflection(
     length, model, coupling, field_strength, anisotropy
 ):
     # evolve_by_sector_eigh, the reference for the kets, relies on both
-    # symmetries and does not re-check them
+    # symmetries and does not re-check them; the proof runs on the bands,
+    # with no sort, so its cost grows as 2^L
     cfg = QuenchConfig(
         model=model, length=length, cut=1, tmax=1.0, steps=1, coupling=coupling,
         field_strength=field_strength, anisotropy=anisotropy,
     )
-    _assert_symmetric(length, *hamiltonian_triples(cfg))
+    _assert_symmetric(length, *hamiltonian_bands(cfg))
 
 
 # The proof above must refuse bit rules that break a symmetry
@@ -537,14 +642,14 @@ def test_triples_commute_with_spin_flip_and_reflection(
 def test_non_commuting_hamiltonian_raises(perturb, model):
     cfg = QuenchConfig(model=model, length=4, cut=2, tmax=1.0, steps=2)
     with pytest.raises(AssertionError, match="spin flip"):
-        _assert_symmetric(4, *_perturbed_triples(perturb, cfg))
+        _assert_symmetric(4, *_perturbed_bands(perturb, cfg))
 
 
 @pytest.mark.parametrize("model", ["tfi", "xxz"])
 def test_reflection_breaking_hamiltonian_raises(model):
     cfg = QuenchConfig(model=model, length=4, cut=2, tmax=1.0, steps=2)
     with pytest.raises(AssertionError, match="reflection"):
-        _assert_symmetric(4, *_perturbed_triples(_bond_0_zz, cfg))
+        _assert_symmetric(4, *_perturbed_bands(_bond_0_zz, cfg))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
