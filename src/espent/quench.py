@@ -88,7 +88,7 @@ def _bit_rules(
     n = site_weight.shape[-1]
     idx = np.arange(2**n)
     low = np.arange(n - 2, -1, -1)[:, None]  # bond b joins bits n-2-b and n-1-b
-    anti = ((idx >> low) ^ (idx >> (low + 1))) & 1
+    anti = ((idx ^ (idx >> 1)) >> low) & 1
     zz = bond_weight @ (1 - 2 * anti)
     J = config.coupling
     if config.model == "tfi":
