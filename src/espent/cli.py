@@ -104,7 +104,7 @@ def _cmd_random(args) -> int:
     if args.output:
         write_state_file(state, args.output)
     else:
-        sys.stdout.writelines(canonical_chunks(state))  # a row at a time, as to a file
+        sys.stdout.writelines(canonical_chunks(state))  # a piece at a time, as to a file
     return EXIT_OK
 
 

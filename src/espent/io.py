@@ -1,13 +1,16 @@
 """State-file ingestion and canonical serialization.
 
-JSON is the canonical format. Schema 2, the one written, holds n rows of
-the 2 d interleaved floats re, im, re, im, ... over the right index, as
-CSV rows do; schema 1 (one {"re", "im"} object per amplitude) is still
-read. CSV is accepted for ingestion only.
+JSON is the canonical format. Schema 3, the one written, holds the n d
+amplitudes as one string: the base64 (RFC 4648, padded, no line breaks)
+of their little-endian complex128 bytes, row-major, so re, im, re, im, ...
+as CSV rows hold them. Schema 2 (n rows of those 2 d floats) and schema 1
+(one {"re", "im"} object per amplitude) are still read. CSV is accepted
+for ingestion only.
 """
 
 from __future__ import annotations
 
+import base64
 import csv
 import json
 from itertools import chain
@@ -18,7 +21,16 @@ import numpy as np
 from .errors import DimensionMismatchError, ParseError, TooLargeError
 from .states import MAX_AMPLITUDES, PureBipartiteState, validate_state
 
-STATE_SCHEMA_VERSION = 2
+STATE_SCHEMA_VERSION = 3
+_DTYPE = "<c16"  # little-endian complex128: re, then im
+# Bytes per written piece. Base64 of whole 3-byte groups has no padding, so
+# the pieces' encodings concatenate to the encoding of all the bytes.
+_PIECE_BYTES = 3 * 2**16
+
+
+def _amplitude_bytes(state) -> np.ndarray:
+    """The amplitudes' little-endian complex128 bytes, row-major, as uint8."""
+    return np.ascontiguousarray(state.amplitudes, dtype=_DTYPE).reshape(-1).view(np.uint8)
 
 
 def state_to_dict(state: PureBipartiteState) -> dict:
@@ -28,27 +40,23 @@ def state_to_dict(state: PureBipartiteState) -> dict:
         "schema_version": STATE_SCHEMA_VERSION,
         "n": state.n,
         "d": state.d,
-        "amplitudes": [
-            [part for a in row for part in (float(a.real), float(a.imag))]
-            for row in state.amplitudes
-        ],
+        "amplitudes": base64.b64encode(_amplitude_bytes(state)).decode("ascii"),
     }
 
 
 def canonical_chunks(state: PureBipartiteState):
-    """The canonical text in pieces, one per row of amplitudes.
+    """The canonical text in pieces: the header, the base64 of each
+    _PIECE_BYTES of amplitude bytes, and the closing keys.
 
-    The bytes are those of json.dumps(state_to_dict(state), sort_keys=True,
-    indent=2) + "\n"; the digits come from float.__repr__, as json's own.
+    The pieces concatenate to json.dumps(state_to_dict(state),
+    sort_keys=True, indent=2) + "\n": no base64 character needs escaping.
     """
-    row = "    [\n" + ",\n".join(["      %s"] * (2 * state.d)) + "\n    ]"
-    parts = np.ascontiguousarray(state.amplitudes).view(float)
-    rows = (row % tuple(map(float.__repr__, values.tolist())) for values in parts)
-    yield '{\n  "amplitudes": [\n' + next(rows)
-    for text in rows:
-        yield ",\n" + text
+    raw = _amplitude_bytes(state)
+    yield '{\n  "amplitudes": "'
+    for start in range(0, raw.size, _PIECE_BYTES):
+        yield base64.b64encode(raw[start : start + _PIECE_BYTES]).decode("ascii")
     yield (
-        f'\n  ],\n  "d": {state.d},\n  "n": {state.n},\n'
+        f'",\n  "d": {state.d},\n  "n": {state.n},\n'
         f'  "schema_version": {STATE_SCHEMA_VERSION}\n}}\n'
     )
 
@@ -87,11 +95,30 @@ def _interleaved(rows: list) -> np.ndarray:
         raise ParseError(f"bad amplitude entry: {exc}") from exc
 
 
+def _decoded(text, n: int, d: int) -> np.ndarray:
+    """The n x d matrix of a schema 3 amplitudes string, refused before the
+    decode if it is not a string or not the length n d amplitudes encode to."""
+    if type(text) is not str:
+        raise ParseError("schema 3 amplitudes must be a base64 string")
+    if n < 1 or d < 1 or len(text) != 4 * -(-16 * n * d // 3):
+        raise DimensionMismatchError(
+            f"n={n}, d={d}: schema 3 amplitudes hold 4 ceil(16 n d / 3) base64 characters,"
+            f" not {len(text)}"
+        )
+    try:  # a non-ASCII character is a ValueError, and binascii.Error is one
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:
+        raise ParseError(f"bad base64 amplitudes: {exc}") from exc
+    if len(raw) != 16 * n * d:  # the right length, padded for fewer bytes
+        raise ParseError(f"bad base64 amplitudes: padding for {len(raw)} bytes, not {16 * n * d}")
+    return np.frombuffer(raw, _DTYPE).reshape(n, d)
+
+
 def _parse_state_dict(doc: dict, renormalize: bool) -> PureBipartiteState:
     # type(), not ==: True == 1, and 1.0 == 1.
     version = doc.get("schema_version", 1)
-    if type(version) is not int or version not in (1, 2):
-        raise ParseError(f"unknown schema_version {version!r}: this reader knows 1 and 2")
+    if type(version) is not int or version not in (1, 2, 3):
+        raise ParseError(f"unknown schema_version {version!r}: this reader knows 1, 2 and 3")
     try:
         n, d, rows = doc["n"], doc["d"], doc["amplitudes"]
     except KeyError as exc:
@@ -100,6 +127,8 @@ def _parse_state_dict(doc: dict, renormalize: bool) -> PureBipartiteState:
         if type(value) is not int:
             raise ParseError(f"{name} must be an integer, not {type(value).__name__}")
     _check_size(n * d)
+    if version == 3:
+        return validate_state(_decoded(rows, n, d), renormalize=renormalize)
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ParseError("amplitudes must be a list of rows, each a list")
     width = d if version == 1 else 2 * d
@@ -143,7 +172,7 @@ def _check_size(amplitudes: int) -> None:
 
 
 def parse_state_file(path, renormalize: bool = False) -> PureBipartiteState:
-    """Read a state from JSON (schema 2 or 1) or CSV (by .csv suffix)."""
+    """Read a state from JSON (schema 3, 2 or 1) or CSV (by .csv suffix)."""
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
@@ -157,7 +186,7 @@ def parse_state_file(path, renormalize: bool = False) -> PureBipartiteState:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON in {p}: {exc}") from exc
-    del text  # not held while the rows become an array: 39 -> 31 MiB peak at 512 x 512
+    del text  # not held while the amplitudes become an array: 20 -> 15 MiB peak at 512 x 512
     if not isinstance(doc, dict):
         raise ParseError(f"expected a JSON object in {p}")
     return _parse_state_dict(doc, renormalize)

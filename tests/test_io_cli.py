@@ -1,3 +1,4 @@
+import base64
 import io
 import json
 import logging
@@ -5,7 +6,9 @@ import math
 import re
 import sys
 import time
+from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -312,6 +315,21 @@ def test_canonical_text_of_any_finite_amplitudes(fuzz_dir, amps):
     assert_canonical(SimpleNamespace(n=n, d=d, amplitudes=amps), fuzz_dir / "canonical.json")
 
 
+@settings(max_examples=200, deadline=None)
+@example(amps=complex_matrix([PINNED], [PINNED[::-1]]))
+@example(amps=complex_matrix(np.transpose([PINNED]), -np.transpose([PINNED])))
+@given(amps=amplitude_matrices())
+def test_any_finite_amplitudes_round_trip_bitwise(fuzz_dir, amps):
+    # Taken before validation: no normalized state holds 1e16 or the
+    # largest float.
+    n, d = amps.shape
+    path = fuzz_dir / "round-trip.json"
+    write_state_file(SimpleNamespace(n=n, d=d, amplitudes=amps), path)
+    with mock.patch.object(espent.io, "validate_state", lambda raw, renormalize: raw):
+        parsed = parse_state_file(path)
+    assert parsed.shape == (n, d) and parsed.tobytes() == amps.tobytes()
+
+
 @settings(max_examples=100, deadline=None)
 @example(n=1, d=1, seed=0)
 @example(n=1, d=8, seed=0)
@@ -328,20 +346,32 @@ def v1_text(amps) -> str:
     return json.dumps({"schema_version": 1, "n": n, "d": d, "amplitudes": rows}, indent=2)
 
 
+def v2_text(amps) -> str:
+    """Schema 2 text of a matrix: one row of interleaved re, im floats per
+    left index, as the writers gave it before schema 3."""
+    n, d = amps.shape
+    rows = np.ascontiguousarray(amps).view(float).tolist()
+    doc = {"schema_version": 2, "n": n, "d": d, "amplitudes": rows}
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("n, d, seed", [(1, 1, 0), (3, 4, 5), (8, 1, 2), (16, 16, 7), (5, 32, 3)])
 @pytest.mark.parametrize("scale", [1.0, 0.98])
 def test_schema_1_and_2_files_of_one_state_parse_alike(tmp_path, n, d, seed, scale):
+    # Schemas 1, 2 and 3 of one state: the same bytes and factor, or the
+    # same refusal.
     amps = random_haar_state(n, d, seed).amplitudes * scale
+    v3 = tmp_path / "v3.json"
+    write_state_file(SimpleNamespace(n=n, d=d, amplitudes=amps), v3)
+    assert json.loads(v3.read_text())["schema_version"] == 3
     v2 = tmp_path / "v2.json"
-    write_state_file(SimpleNamespace(n=n, d=d, amplitudes=amps), v2)
-    assert json.loads(v2.read_text())["schema_version"] == 2
+    v2.write_text(v2_text(amps))
     v1 = tmp_path / "v1.json"
     v1.write_text(v1_text(amps))
     for renormalize in (False, True):
-        assert outcome(parse_state_file, v1, renormalize) == outcome(
-            parse_state_file, v2, renormalize
-        )
-    assert parse_state_file(v2, renormalize=True).renorm_factor == pytest.approx(1 / scale)
+        outcomes = [outcome(parse_state_file, p, renormalize) for p in (v1, v2, v3)]
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert parse_state_file(v3, renormalize=True).renorm_factor == pytest.approx(1 / scale)
 
 
 @pytest.mark.parametrize("shape", ["row", "column"])
@@ -416,7 +446,7 @@ def test_fuzz_schema_2_state_files(fuzz_dir, doc):
         assert results[0] == results[1]
 
 
-@pytest.mark.parametrize("version", [99, 0, 3, -1, "v1", "1", 1.0, 2.0, True, None, [1]])
+@pytest.mark.parametrize("version", [99, 0, 4, -1, "v1", "1", 1.0, 2.0, True, None, [1]])
 def test_parse_refuses_unknown_schema_version(tmp_path, caplog, capsys, version):
     path = tmp_path / "state.json"
     doc = json.loads(v1_text(np.array([[1.0 + 0j]])))
@@ -458,6 +488,79 @@ def test_parse_schema_2_size_bound_fires_before_conversion(tmp_path, monkeypatch
     doc = {"schema_version": 2, "n": 2, "d": 2, "amplitudes": [[0.5] * 4] * 2}
     path.write_text(json.dumps(doc))
     assert_refused_as_too_large(path, caplog, capsys)
+
+
+def b64(values) -> str:
+    """Schema 3 amplitudes of interleaved re, im floats."""
+    return base64.b64encode(np.array(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+ONE_B64 = b64([1.0, 0.0])  # "AAAAAAAA8D8AAAAAAAAAAA==", 24 characters
+
+
+@pytest.mark.parametrize(
+    "n, d, amplitudes, error, message",
+    [
+        (1, 1, [[1.0, 0.0]], ParseError, "must be a base64 string"),
+        (1, 1, 5, ParseError, "must be a base64 string"),
+        (1, 1, None, ParseError, "must be a base64 string"),
+        (1, 1, ONE_B64[:-5] + "-" + ONE_B64[-4:], ParseError, "bad base64 amplitudes"),
+        (1, 1, ONE_B64[:-5] + "\n" + ONE_B64[-4:], ParseError, "bad base64 amplitudes"),
+        (1, 1, ONE_B64[:-5] + "\u00e9" + ONE_B64[-4:], ParseError, "bad base64 amplitudes"),
+        (1, 1, ONE_B64[:-4] + "AAA=", ParseError, "padding for 17 bytes"),
+        (1, 1, ONE_B64[:-4] + "A===", ParseError, "bad base64 amplitudes"),
+        (1, 1, ONE_B64[:-4] + "AA=A", ParseError, "bad base64 amplitudes"),
+        (1, 1, ONE_B64[:4] + "AA==" + ONE_B64[8:], ParseError, "bad base64 amplitudes"),
+        (1, 3, b64([1.0, 0.0] + [0.0] * 4)[:-4] + "AA==", ParseError, "padding for 46 bytes"),
+        (1, 1, ONE_B64[:-4], DimensionMismatchError, "not 20"),  # one piece short
+        (1, 1, ONE_B64 + "AAAA", DimensionMismatchError, "not 28"),
+        (1, 1, "", DimensionMismatchError, "not 0"),
+        (0, 1, "", DimensionMismatchError, "n=0, d=1"),
+        (1, 0, "", DimensionMismatchError, "n=1, d=0"),
+        (-1, -1, ONE_B64, DimensionMismatchError, "n=-1, d=-1"),
+        (2, 1, ONE_B64, DimensionMismatchError, "not 24"),
+        (1, 1, b64([float("nan"), 0.0]), NormError, "NaN or infinite"),
+        (1, 1, b64([1.0, float("inf")]), NormError, "overflows"),
+        (1, 1, b64([1e300, 1e300]), NormError, "overflows"),
+    ],
+)
+def test_parse_schema_3_refusals(tmp_path, caplog, capsys, n, d, amplitudes, error, message):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"schema_version": 3, "n": n, "d": d, "amplitudes": amplitudes}))
+    for renormalize in (False, True):
+        with pytest.raises(error, match=re.escape(message)):
+            parse_state_file(path, renormalize)
+    assert main(["analyze", str(path)]) == EXIT_PARSE
+    assert len(caplog.records) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_parse_schema_3_size_bound_fires_before_decoding(tmp_path, monkeypatch, caplog, capsys):
+    monkeypatch.setattr(espent.io, "MAX_AMPLITUDES", 3)
+    monkeypatch.setattr(base64, "b64decode", None)  # a decode would raise TypeError
+    path = tmp_path / "wide.json"
+    doc = {"schema_version": 3, "n": 2, "d": 2, "amplitudes": b64([0.5, 0.0] * 4)}
+    path.write_text(json.dumps(doc))
+    assert_refused_as_too_large(path, caplog, capsys)
+
+
+README_STATE = """{
+  "amplitudes": "MzMzMzMz4z8AAAAAAAAAAAAAAAAAAAAAmpmZmZmZ6T8=",
+  "d": 2,
+  "n": 1,
+  "schema_version": 3
+}
+"""
+
+
+def test_readme_state_file_example_is_the_written_text():
+    state = validate_state(np.array([[0.6, 0.8j]]))
+    assert serialize_state(state) == README_STATE
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert "```json\n" + README_STATE + "```" in readme
+    doc = json.loads(README_STATE)  # the README's numpy decode
+    amps = np.frombuffer(base64.b64decode(doc["amplitudes"]), "<c16").reshape(doc["n"], doc["d"])
+    assert amps.tolist() == [[0.6, 0.8j]]
 
 
 def test_analyze_report_fields():
@@ -741,16 +844,20 @@ class RecordingStdout(io.StringIO):
 
 
 def test_cli_random_streams_the_file_text_to_stdout(tmp_path, monkeypatch):
+    # 256 x 256 amplitudes are 1 MiB of bytes, 5 1/3 pieces: the header, one
+    # write per piece (the last one padded) and the closing keys. The whole
+    # text is never built.
+    assert espent.io._PIECE_BYTES % 3 == 0
+    pieces = math.ceil(16 * 256 * 256 / espent.io._PIECE_BYTES)
+    assert pieces > 3
     path = tmp_path / "state.json"
-    args = ["random", "--n", "6", "--d", "3", "--seed", "4"]
+    args = ["random", "--n", "256", "--d", "256", "--seed", "4"]
     assert main([*args, "-o", str(path)]) == EXIT_OK
     stdout = RecordingStdout()
     monkeypatch.setattr(sys, "stdout", stdout)
     assert main(args) == EXIT_OK
     assert stdout.getvalue().encode() == path.read_bytes()
-    # One write per row of amplitudes and one for the closing keys: the
-    # whole text is never built.
-    assert len(stdout.sizes) == 6 + 1 and max(stdout.sizes) < len(stdout.getvalue()) / 3
+    assert len(stdout.sizes) == 1 + pieces + 1 and max(stdout.sizes) < len(stdout.getvalue()) / 3
 
 
 def test_cli_random_size_bound_fires_before_drawing(monkeypatch, caplog, capsys):
