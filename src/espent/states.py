@@ -26,8 +26,8 @@ NORM_TOL = 1e-6
 ZERO_NORM_TOL = 1e-12
 EIG_CLAMP_TOL = 1e-10
 # Most amplitudes a state, a state file or a quench's kets may hold: 2^24, 256 MiB as complex.
-# espent analyze of a 2^20-amplitude schema 2 file takes 1.7 s and 171 MB child RSS
-# (one BLAS thread, 2-core Xeon), most of it in json.loads; 2^24 is not measured.
+# espent analyze of a 2^20-amplitude file takes 1.45 s and 120 MB child RSS as schema 3, and
+# 2.05 s and 171 MB as schema 2 (one BLAS thread, 2-core Xeon); 2^24 is not measured.
 MAX_AMPLITUDES = 1 << 24
 # From this aspect ratio and this many amplitudes per state on, the SVD of psi's R factor
 # is cheaper than psi's own: np.linalg.qr adds about 10 us a call, which a batch shares.
