@@ -512,7 +512,7 @@ ONE_B64 = b64([1.0, 0.0])  # "AAAAAAAA8D8AAAAAAAAAAA==", 24 characters
         (1, 1, ONE_B64[:-4] + "AA=A", ParseError, "bad base64 amplitudes"),
         (1, 1, ONE_B64[:4] + "AA==" + ONE_B64[8:], ParseError, "bad base64 amplitudes"),
         (1, 3, b64([1.0, 0.0] + [0.0] * 4)[:-4] + "AA==", ParseError, "padding for 46 bytes"),
-        (1, 1, ONE_B64[:-4], DimensionMismatchError, "not 20"),  # one piece short
+        (1, 1, ONE_B64[:-4], DimensionMismatchError, "not 20"),  # one 4-character group short
         (1, 1, ONE_B64 + "AAAA", DimensionMismatchError, "not 28"),
         (1, 1, "", DimensionMismatchError, "not 0"),
         (0, 1, "", DimensionMismatchError, "n=0, d=1"),
