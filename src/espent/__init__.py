@@ -13,13 +13,10 @@ from .entropy import (
     SeriesResult,
     linear_entropy,
     purities_from_esp,
-    purities_from_spectrum,
     purities_recurrence,
     q_tilde,
     renyi_entropy,
     s_r_truncated,
-    series_partial_sum,
-    series_partial_sum_literal,
     von_neumann_direct,
     von_neumann_series,
 )
@@ -30,7 +27,6 @@ from .errors import (
     InvalidCutError,
     InvalidOptionError,
     InvalidOrderError,
-    LengthMismatchError,
     NormError,
     OrderOutOfRangeError,
     ParseError,
@@ -40,7 +36,6 @@ from .errors import (
 )
 from .fermions import (
     TwoFermionJointState,
-    antisym_weight,
     beamsplitter_transform,
     build_two_copy_state,
     bunching_probability,
@@ -54,7 +49,6 @@ from .states import (
     ReducedDensityMatrix,
     Spectrum,
     gram_matrix,
-    projected_states,
     random_haar_state,
     reduced_density_matrix,
     schmidt_spectrum,
@@ -65,8 +59,6 @@ from .volumes import (
     ESPVector,
     esp_from_charpoly,
     esp_from_spectrum,
-    volume_r_brute,
-    wedge_norm_squared,
 )
 
 __version__ = "0.1.0"

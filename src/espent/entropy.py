@@ -17,9 +17,7 @@ truncated series is the same series over the r roots nu of q_r.  It sums
 to S_r = -sum nu ln nu and converges iff max |1 - nu| < 1 over the nonzero
 roots.  The roots of every requested order come from one eigvals call on
 their companion matrices, zero-padded to one stack, and are certified by
-rebuilding q_r from them.  A literal triple-sum evaluator with exact
-rational coefficients is kept as an independent cross-check of the
-partial sums for small depths.
+rebuilding q_r from them.
 """
 
 from __future__ import annotations
@@ -103,13 +101,24 @@ def renyi_heads(heads, alpha: float) -> list[float]:
     """Renyi entropy of order alpha > 0, alpha != 1, of each head (the nonzero eigenvalues
     of a checked spectrum, descending), as (alpha ln lambda_1 + ln(1 + sum_{j>1}
     (lambda_j / lambda_1)^alpha)) / (1 - alpha): no power underflows however large
-    alpha is, and log1p keeps the small sums of near-pure states."""
+    alpha is, and log1p keeps the small sums of near-pure states.
+
+    Near alpha = 1 that numerator is a difference of terms far larger than itself.
+    So for |alpha - 1| < 1/2 it is taken, by sum_j lambda_j = 1, as (alpha - 1)
+    ln lambda_1 + log1p(sum_{j>1} lambda_j expm1((alpha - 1) ln(lambda_j / lambda_1))),
+    whose parts share one sign."""
     if not 0.0 < alpha < math.inf or alpha == 1.0:
         raise InvalidOrderError(f"alpha={alpha}; need finite alpha > 0 and alpha != 1")
+    delta = alpha - 1.0
     out = []
     for top, *rest in heads:
-        tail = math.fsum([(x / top) ** alpha for x in rest])
-        out.append(0.0 - (alpha * math.log(top) + math.log1p(tail)) / (alpha - 1.0))  # +0.0 if pure
+        ln_top = math.log(top)
+        if abs(delta) < 0.5:
+            tail = math.fsum([x * math.expm1(delta * (math.log(x) - ln_top)) for x in rest])
+            out.append(0.0 - (delta * ln_top + math.log1p(tail)) / delta)
+        else:
+            tail = math.fsum([(x / top) ** alpha for x in rest])
+            out.append(0.0 - (alpha * ln_top + math.log1p(tail)) / delta)  # +0.0 if pure
     return out
 
 
@@ -164,11 +173,6 @@ def purities_from_esp(esp: ESPVector, K: int) -> PuritySequence:
             terms.append(float(coeff) * mono)
         vals.append(math.fsum(terms))
     return PuritySequence(values=tuple(vals))
-
-
-def purities_from_spectrum(spec: Spectrum, K: int) -> PuritySequence:
-    """purity_heads of one spectrum.  K < 1 gives no purity: OrderOutOfRangeError."""
-    return PuritySequence(values=tuple(purity_heads([spec.eigenvalues[: spec.rank]], K)[0]))
 
 
 def purity_heads(heads, K: int) -> list[list[float]]:
@@ -268,43 +272,3 @@ def s_r_truncated(esp: ESPVector, r: int) -> SeriesResult:
         # -e_1 ln e_1 = 0: e_1 = Tr rho = 1, held to 1e-10 by ESPVector.
         return SeriesResult(value=0.0, converged=True)
     return truncated_entropies(esp, [r])[0]
-
-
-def series_partial_sum(esp: ESPVector, r: int, depth: int) -> float:
-    """Partial sum of the r-th-order series through outer term m = depth.
-
-    sum_{m <= depth} (1/m) sum_j nu_j (1 - nu_j)^m over the roots of q_r;
-    the literal evaluator below checks it at matched depth.
-    """
-    if depth < 1:
-        raise OrderOutOfRangeError(f"depth={depth} must be >= 1")
-    nu, live, _ = _q_r_roots(esp, [r])
-    nu = nu[0, live[0]]
-    m = np.arange(1, depth + 1)
-    return math.fsum((nu[:, None] * (1.0 - nu[:, None]) ** m / m).real.ravel())
-
-
-def series_partial_sum_literal(esp: ESPVector, r: int, depth: int) -> float:
-    """Literal triple-sum evaluation of the truncated series (test oracle).
-
-    Enumerates, for every outer index m <= depth and every k <= m + 1, all
-    multiplicity tuples (p_1, ..., p_r) with sum l p_l = k (p_1 >= 0
-    included explicitly), applying the exact rational coefficient
-
-        -(1/m) k (-1)^k C(m, k-1) (sum p_l - 1)! / prod p_l!  * (-1)^(sum p_l)
-
-    to the monomial prod e_l^(p_l).  Exponential in depth; intended for
-    depth <= ~25 as an independent cross-check of series_partial_sum.
-    """
-    if depth < 1:
-        raise OrderOutOfRangeError(f"depth={depth} must be >= 1")
-    e_list = _truncated_e_list(esp, r)
-    terms = []
-    for m in range(1, depth + 1):
-        for k in range(1, m + 2):
-            binom = math.comb(m, k - 1)
-            for parts in _partitions(k, min(k, r)):
-                coeff = Fraction((-1) ** (k - 1) * binom, m) * _girard_newton_coeff(k, parts)
-                mono = math.prod(e_list[l] ** p for l, p in parts)
-                terms.append(float(coeff) * mono)
-    return math.fsum(terms)

@@ -21,10 +21,6 @@ class IndefiniteMatrixError(EspentError, ValueError):
     """Matrix has an eigenvalue below the negativity tolerance."""
 
 
-class LengthMismatchError(EspentError, ValueError):
-    """Vectors of unequal length passed where a common length is required."""
-
-
 class OrderOutOfRangeError(EspentError, ValueError):
     """Requested order r (or K) outside the valid range."""
 

@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
 
 import numpy as np
 
-from .errors import OrderOutOfRangeError, TooLargeError, WrongPortDomainError
-from .states import PureBipartiteState, ReducedDensityMatrix
+from .errors import TooLargeError, WrongPortDomainError
+from .states import PureBipartiteState
 
 IN_PORTS = (1, 2)
 OUT_PORTS = (3, 4)
@@ -172,30 +171,3 @@ def check_bunching_size(state: PureBipartiteState) -> None:
         raise TooLargeError(
             f"n*d = {state.n * state.d} exceeds {MAX_STATE_SIZE} for the bunching simulation"
         )
-
-
-def antisym_weight(rho: ReducedDensityMatrix, r: int) -> float:
-    """Weight of rho^(x)r on the fully antisymmetric subspace of r copies.
-
-    Builds the antisymmetrizer as the signed sum over all r! permutation
-    operators (applied by index contraction rather than as dense matrices)
-    and returns Tr(P_A rho^(x)r), which equals e_r.  This is the r-copy
-    generalization the interference protocol encodes; the explicit
-    (r-1)-beamsplitter network itself is not simulated.
-    """
-    if not 1 <= r <= 6:
-        raise OrderOutOfRangeError(f"r={r} outside the supported range 1..6")
-    letters = "abcdefghijkl"
-    total = 0.0
-    mats = [rho.matrix] * r
-    for perm in permutations(range(r)):
-        # Tr(Pi_perm rho^(x)r) = sum_i prod_t rho[i_t, i_perm(t)]
-        spec = ",".join(letters[t] + letters[perm[t]] for t in range(r))
-        tr = np.einsum(spec + "->", *mats, optimize=True)
-        total += _perm_sign(perm) * tr.real
-    return total / math.factorial(r)
-
-
-def _perm_sign(perm) -> int:
-    """+1 or -1: the parity of the number of inversions."""
-    return (-1) ** sum(a > b for a, b in combinations(perm, 2))

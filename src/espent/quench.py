@@ -15,7 +15,7 @@ one stack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -137,17 +137,33 @@ def spectral_interval(config: QuenchConfig) -> tuple[float, float]:
     [sum_w min eig h_w, sum_w max eig h_w].  The h_w come from the same bit
     rules as H, and their eigenvalues from one stacked eigvalsh.  The interval
     is widened by _PAD sum_w ||h_w||: room for the rounding of the weights,
-    of eigvalsh and of the sums, so a zero H keeps [0, 0]."""
+    of eigvalsh and of the sums, so a zero H keeps [0, 0].
+
+    The windows are taken at H's couplings (TFI: J and h; XXZ: J and J Delta)
+    times 2^-e, which puts the largest in [1, 2): subnormal couplings then
+    keep their digits and the pad does not underflow.  Scaling by a power of
+    two is exact, so at normal couplings this changes no bit.  The ends are
+    scaled back by ldexp, which rounds to nearest; rounding is monotone, so
+    they hold every eigenvalue rounded to a float."""
+    J = config.coupling
+    if config.model == "tfi":
+        e = math.frexp(max(abs(J), abs(config.field_strength)))[1] - 1
+        scaled = replace(config, coupling=math.ldexp(J, -e),
+                         field_strength=math.ldexp(config.field_strength, -e))
+    else:  # XXZ has no field, which 2^-e might overflow
+        e = math.frexp(max(abs(J), abs(J * config.anisotropy)))[1] - 1
+        scaled = replace(config, coupling=math.ldexp(J, -e))
     L = config.length
     n = min(_WINDOW, L)
     starts = np.arange(L - n + 1)[:, None]
     bonds, sites = starts + np.arange(n - 1), starts + np.arange(n)
     bond_count, site_count = np.bincount(bonds.ravel()), np.bincount(sites.ravel())
     evals = np.linalg.eigvalsh(
-        _dense(*_bit_rules(config, 1.0 / bond_count[bonds], 1.0 / site_count[sites]))
+        _dense(*_bit_rules(scaled, 1.0 / bond_count[bonds], 1.0 / site_count[sites]))
     )
     pad = _PAD * np.abs(evals).max(axis=1).sum()
-    return float(evals[:, 0].sum() - pad), float(evals[:, -1].sum() + pad)
+    lo, hi = evals[:, 0].sum() - pad, evals[:, -1].sum() + pad
+    return math.ldexp(float(lo), e), math.ldexp(float(hi), e)
 
 
 def initial_product_state(config: QuenchConfig) -> np.ndarray:

@@ -195,19 +195,6 @@ def _refuse(norm: float, where: str):
     )
 
 
-def projected_states(state: PureBipartiteState, side: str = "M") -> np.ndarray:
-    """Read-only matrix whose rows are the projected (unnormalized) states.
-
-    side='M' gives the n rows |j psi> (the amplitude matrix itself);
-    side='R' gives the d columns of psi as rows (its transpose).
-    """
-    if side == "M":
-        return state.amplitudes
-    if side == "R":
-        return state.amplitudes.T
-    raise ValueError(f"side must be 'M' or 'R', got {side!r}")
-
-
 def gram_matrix(v: np.ndarray) -> np.ndarray:
     """Matrix of pairwise inner products of the rows of v, or a stack of them.
 
@@ -225,9 +212,12 @@ def reduced_density_matrix(state: PureBipartiteState, side: str = "M") -> Reduce
     """Partial trace over the complementary subsystem.
 
     Convention: (rho_M)_{j1, j2} = sum_i psi_{j1, i} conj(psi_{j2, i}),
-    i.e. rho_M = psi psi^dagger, the Gram matrix of the projected states.
+    i.e. rho_M = psi psi^dagger, the Gram matrix of the projected states |j psi>,
+    the rows of psi; side='R' takes the columns of psi as the rows.
     """
-    rho = gram_matrix(projected_states(state, side))
+    if side not in ("M", "R"):
+        raise ValueError(f"side must be 'M' or 'R', got {side!r}")
+    rho = gram_matrix(state.amplitudes if side == "M" else state.amplitudes.T)
     return ReducedDensityMatrix(dim=rho.shape[0], matrix=rho)
 
 

@@ -3,10 +3,10 @@
 The squared norm of a wedge of r projected states is a Gram determinant;
 summing it over all r-subsets of the family gives the collective squared
 r-th-order volume, which equals the r-th elementary symmetric polynomial
-e_r of the reduced-density-matrix spectrum.  Three independent routes are
-provided: brute-force subset enumeration (the oracle), the stable ESP
-recurrence over the spectrum, and characteristic-polynomial coefficients
-via Faddeev-LeVerrier.
+e_r of the reduced-density-matrix spectrum.  The package computes it by the
+stable ESP recurrence over the spectrum, and esp_from_charpoly gives the
+characteristic-polynomial coefficients (Faddeev-LeVerrier) as an independent
+route; the subset enumeration itself is a test oracle.
 """
 
 from __future__ import annotations
@@ -14,12 +14,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .errors import LengthMismatchError, OrderOutOfRangeError
-from .states import ReducedDensityMatrix, Spectrum, gram_matrix
+from .errors import OrderOutOfRangeError
+from .states import ReducedDensityMatrix, Spectrum
 
 
 @dataclass(frozen=True)
@@ -63,36 +62,6 @@ class ESPVector:
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-def wedge_norm_squared(vectors) -> float:
-    """Squared norm of v_1 ^ ... ^ v_r: the Gram determinant det(<v_a|v_b>)."""
-    vecs = [np.asarray(v, dtype=complex) for v in vectors]
-    if not vecs:
-        raise LengthMismatchError("need at least one vector")
-    length = vecs[0].shape[0]
-    for v in vecs:
-        if v.ndim != 1 or v.shape[0] != length:
-            raise LengthMismatchError("vectors must share one length")
-    return float(np.linalg.det(gram_matrix(np.array(vecs))).real)
-
-
-def volume_r_brute(v: np.ndarray, r: int) -> float:
-    """Collective squared r-th-order volume by explicit subset enumeration.
-
-    Sums the Gram determinant of every r-subset of the rows of v (for
-    example ``projected_states(state)``).  This is the oracle route:
-    O(C(n, r) * r^3), intended for n <= 12.
-    """
-    n = v.shape[0]
-    if not 1 <= r <= n:
-        raise OrderOutOfRangeError(f"r={r} outside 1..{n}")
-    gram = gram_matrix(v)
-    terms = [
-        float(np.linalg.det(gram[np.ix_(idx, idx)]).real)
-        for idx in combinations(range(n), r)
-    ]
-    return math.fsum(terms)
 
 
 @functools.lru_cache(maxsize=64)

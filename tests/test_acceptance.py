@@ -16,24 +16,26 @@ from espent import (
     Spectrum,
     esp_from_spectrum,
     fermionic_encoding_probability,
-    antisym_weight,
     analyze_batch,
-    projected_states,
     purities_from_esp,
     purities_recurrence,
     quench_trajectory,
     random_haar_state,
     reduced_density_matrix,
     s_r_truncated,
-    series_partial_sum,
-    series_partial_sum_literal,
     spectrum,
     validate_state,
-    volume_r_brute,
     von_neumann_direct,
     von_neumann_series,
 )
 from conftest import random_bell, random_product_state
+from oracles import (
+    antisym_weight,
+    projected_states,
+    series_partial_sum,
+    series_partial_sum_literal,
+    volume_r_brute,
+)
 
 
 def _report(name: str, ok: bool, detail: str = ""):

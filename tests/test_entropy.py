@@ -21,7 +21,6 @@ from espent import (
     esp_from_spectrum,
     linear_entropy,
     purities_from_esp,
-    purities_from_spectrum,
     purities_recurrence,
     q_tilde,
     random_haar_state,
@@ -29,8 +28,6 @@ from espent import (
     renyi_entropy,
     s_r_truncated,
     schmidt_spectrum,
-    series_partial_sum,
-    series_partial_sum_literal,
     spectrum,
     validate_state,
     von_neumann_direct,
@@ -41,8 +38,13 @@ from espent.entropy import (
     ZERO_ROOT,
     _partitions,
     _truncated_e_list,
+    purity_heads,
+    renyi_heads,
     truncated_entropies,
+    von_neumann_heads,
 )
+from espent.volumes import esp_heads
+from oracles import series_partial_sum, series_partial_sum_literal
 
 LN2 = 0.6931471805599453
 
@@ -132,6 +134,25 @@ def test_renyi_large_alpha_matches_mpmath(alpha):
         )
 
 
+@pytest.mark.parametrize(
+    "alpha", [1 - 2**-53, 1 + 2**-52, 1 - 1e-8, 1 + 1e-8, 0.75, 1.25, 0.5000001, 1.4999999]
+)
+def test_renyi_near_alpha_1_matches_mpmath(alpha):
+    # alpha ln lambda_1 and ln(1 + sum) nearly cancel here, so the numerator must
+    # not be taken as their difference.  The reference normalizes the float
+    # spectrum, without which ln(sum lambda) / (1 - alpha) alone would grow
+    # without bound as alpha tends to 1.
+    haar = schmidt_spectrum(random_haar_state(8, 8, 5)).eigenvalues
+    for lams in [(0.5725568, 0.4274432), haar, (1 - 1e-9, 1e-9), (0.6, 0.4 - 1e-300, 1e-300)]:
+        a = mp.mpf(alpha)
+        with mp.workdps(60):
+            total = mp.fsum(mp.mpf(lam) for lam in lams)
+            exact = mp.log(mp.fsum((mp.mpf(lam) / total) ** a for lam in lams)) / (1 - a)
+        assert renyi_entropy(Spectrum(eigenvalues=lams), alpha) == pytest.approx(
+            float(exact), rel=0.0, abs=1e-15
+        )
+
+
 def test_renyi_linear_entropy_bridge():
     for seed in range(10):
         spec = spectrum(reduced_density_matrix(random_haar_state(5, 6, seed)))
@@ -177,20 +198,23 @@ def test_purity_routes_and_direct_oracle():
         np.testing.assert_allclose(a.values, b.values, atol=1e-9)
 
 
+def purities_of(spec, K):
+    """purity_heads of one spectrum, the route analyze runs."""
+    return purity_heads([spec.eigenvalues[: spec.rank]], K)[0]
+
+
 def test_purities_from_spectrum():
     bell = Spectrum(eigenvalues=(0.5, 0.5))
-    assert purities_from_spectrum(bell, 4).values == (1.0, 0.5, 0.25, 0.125)
-    assert purities_from_spectrum(Spectrum(eigenvalues=(1.0, 0.0)), 3).values == (1.0,) * 3
+    assert purities_of(bell, 4) == [1.0, 0.5, 0.25, 0.125]
+    assert purities_of(Spectrum(eigenvalues=(1.0, 0.0)), 3) == [1.0] * 3
     for seed in range(5):
         spec = random_spectrum(6, seed)
         np.testing.assert_allclose(
-            purities_from_spectrum(spec, 10).values,
+            purities_of(spec, 10),
             purities_from_esp(esp_from_spectrum(spec), 10).values,
             rtol=0.0,
             atol=1e-15,
         )
-    with pytest.raises(OrderOutOfRangeError):
-        purities_from_spectrum(bell, 0)
 
 
 @pytest.mark.parametrize("pad", [1, 5, 2046])
@@ -208,7 +232,7 @@ def test_purities_of_zero_padded_spectra_are_bitwise_unpadded(pad):
                 math.fsum(lam**k for lam in padded.eigenvalues).hex() for k in range(1, 13)
             ]
             for s in (padded, spec):
-                assert [p.hex() for p in purities_from_spectrum(s, 12).values] == literal
+                assert [p.hex() for p in purities_of(s, 12)] == literal
 
 
 def test_purity_order_errors():
@@ -643,3 +667,31 @@ def test_degenerate_rank_one_everything_zero():
     assert von_neumann_series(esp).value == pytest.approx(0.0, abs=1e-10)
     for r in range(1, 5):
         assert s_r_truncated(esp, r).value == pytest.approx(0.0, abs=1e-10)
+
+
+@st.composite
+def t_transforms(draw):
+    """A spectrum lam (n = 2..12, descending, trace 1) and its T-transform
+    t lam + (1 - t) P_ij lam with t in [1/2, 1], which lam majorizes."""
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=12).filter(any))
+    lam = np.sort(weights)[::-1] / math.fsum(weights)
+    i, j = draw(st.lists(st.integers(0, len(lam) - 1), min_size=2, max_size=2, unique=True))
+    t = draw(st.floats(0.5, 1.0))
+    mixed = lam.copy()
+    mixed[[i, j]] = t * lam[[i, j]] + (1.0 - t) * lam[[j, i]]
+    return lam, np.sort(mixed)[::-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=t_transforms(), alpha=st.floats(0.05, 20.0).filter(lambda a: a != 1.0))
+def test_measures_are_monotone_under_t_transforms(pair, alpha):
+    # LOCC turns a pure state's Schmidt spectrum into one it majorizes (Nielsen),
+    # and every T-transform does: e_k, S and the Renyi entropies are Schur-concave
+    # and must not fall, the purities p_k Schur-convex and must not rise.
+    heads = [[x for x in lam.tolist() if x > 0.0] for lam in pair]
+    n = len(pair[0])
+    (e, e_mixed), (s, s_mixed) = esp_heads(heads, n), von_neumann_heads(heads)
+    (r, r_mixed), (p, p_mixed) = renyi_heads(heads, alpha), purity_heads(heads, n + 2)
+    assert (e_mixed >= e - 1e-12).all()
+    assert s_mixed >= s - 1e-12 and r_mixed >= r - 1e-12
+    assert all(b <= a + 1e-12 for a, b in zip(p, p_mixed))

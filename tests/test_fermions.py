@@ -13,7 +13,6 @@ from espent import (
     TooLargeError,
     TwoFermionJointState,
     WrongPortDomainError,
-    antisym_weight,
     beamsplitter_transform,
     build_two_copy_state,
     bunching_probability,
@@ -26,6 +25,7 @@ from espent import (
     validate_state,
 )
 from conftest import random_product_state
+from oracles import antisym_weight
 
 # Dense reference: the 2n modes are (port, level) with port index 0, 1 for
 # ports 1, 2 at the input and 3, 4 at the output.  The state is

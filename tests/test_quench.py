@@ -34,6 +34,7 @@ from espent.quench import (
     initial_product_state,
     spectral_interval,
 )
+from oracles import free_fermion_entropy, free_fermion_modes, free_fermion_spectrum
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -460,6 +461,11 @@ couplings_or_zero = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
     length=st.integers(2, 10), model=st.sampled_from(["tfi", "xxz"]),
     coupling=couplings_or_zero, field_strength=couplings_or_zero, anisotropy=couplings_or_zero,
 )
+# Subnormal couplings, where the weights and the pad underflow unless the windows are
+# scaled: the first two spectra, +-2e-323 and +-1.5e-323, are Gershgorin's intervals too
+@example(length=4, model="tfi", coupling=0.0, field_strength=5e-324, anisotropy=1.0)
+@example(length=4, model="tfi", coupling=5e-324, field_strength=0.0, anisotropy=1.0)
+@example(length=4, model="xxz", coupling=5e-324, field_strength=0.0, anisotropy=3.0)
 def test_spectral_interval_holds_the_spectrum(length, model, coupling, field_strength, anisotropy):
     assert_interval_holds_the_spectrum(QuenchConfig(
         model=model, length=length, cut=1, tmax=1.0, steps=1, coupling=coupling,
@@ -710,6 +716,31 @@ def test_quench_ladder_and_growth():
         for r in range(2, 4):
             assert s_r[str(r)] <= s_r[str(r + 1)] + 1e-4
         assert s_r["4"] == pytest.approx(rep.entropies["von_neumann_direct"], abs=1e-4)
+
+
+@pytest.mark.parametrize("length", range(2, 13))
+@pytest.mark.parametrize("initial", ["neel", "up"])
+def test_xx_chain_matches_the_free_fermion_oracle(length, initial):
+    # At anisotropy 0 the chain is free fermions: the cut's correlation block
+    # gives the Schmidt spectrum without the bit rules, H or its Chebyshev
+    # expansion.  Spectra and ESPs agree to 4.4e-15 at most; S to 1.8e-13,
+    # since -x ln x magnifies the spectra's rounding where x is tiny.  e_k of
+    # the oracle come from np.poly, not from the package's recurrence.
+    coupling, tmax = [(1.0, 2.0), (-0.7, 3.0), (0.35, 1.5)][length % 3]
+    for cut in sorted({1, length // 2, length - 1}):
+        cfg = QuenchConfig(
+            model="xxz", length=length, cut=cut, tmax=tmax, steps=5, coupling=coupling,
+            anisotropy=0.0, initial=initial,
+        )
+        for t, report in quench_trajectory(cfg):
+            nu = free_fermion_modes(length, cut, coupling, initial, t)
+            lam = free_fermion_spectrum(nu)
+            esp = np.poly(lam)[1:] * (-1.0) ** np.arange(1, lam.size + 1)
+            np.testing.assert_allclose(report.spectrum, lam, rtol=0.0, atol=1e-14)
+            np.testing.assert_allclose(report.esp, esp, rtol=0.0, atol=1e-14)
+            assert report.entropies["von_neumann_direct"] == pytest.approx(
+                free_fermion_entropy(nu), abs=1e-12
+            )
 
 
 def test_xxz_neel_quench_runs():

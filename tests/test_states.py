@@ -17,7 +17,6 @@ from espent import (
     Spectrum,
     ZeroStateError,
     gram_matrix,
-    projected_states,
     random_haar_state,
     reduced_density_matrix,
     schmidt_spectrum,
@@ -26,6 +25,7 @@ from espent import (
 )
 from espent.states import ReducedDensityMatrix, eigvalsh_spectra, validate_stack
 from conftest import random_bell, random_product_state
+from oracles import projected_states
 
 
 def test_validate_bell_state(bell_state):
