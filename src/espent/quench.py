@@ -163,7 +163,7 @@ def spectral_interval(config: QuenchConfig) -> tuple[float, float]:
     )
     pad = _PAD * np.abs(evals).max(axis=1).sum()
     lo, hi = evals[:, 0].sum() - pad, evals[:, -1].sum() + pad
-    return math.ldexp(float(lo), e), math.ldexp(float(hi), e)
+    return float(np.ldexp(lo, e)), float(np.ldexp(hi, e))
 
 
 def initial_product_state(config: QuenchConfig) -> np.ndarray:
