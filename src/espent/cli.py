@@ -121,10 +121,9 @@ def _cmd_quench(args) -> int:
     if args.json_out:
         # A JSON array of one compact record per line: an indent would make
         # json use its pure-Python encoder, about three times slower.
-        lines = (
-            json.dumps({"time": t, "report": report.to_dict()}, sort_keys=True)
-            for t, report in trajectory
-        )
+        # One encoder for all records, with json.dumps(..., sort_keys=True)'s bytes
+        encode = json.JSONEncoder(sort_keys=True).encode
+        lines = (encode({"time": t, "report": report.to_dict()}) for t, report in trajectory)
         with open(args.json_out, "w") as fh:
             fh.write("[\n" + ",\n".join(lines) + "\n]\n")
     # Compact trajectory table on stdout.

@@ -25,10 +25,11 @@ from .report import analyze  # noqa: F401  the benchmark tracer (bench/spans.py)
 from .states import MAX_AMPLITUDES, validate_stack
 from .states import validate_state  # noqa: F401  bench/spans.py wraps this name
 
-MAX_LENGTH = 12
+MAX_LENGTH = 16
 MAX_TERMS = 2**14      # Chebyshev terms per trajectory: the cost grows with half-width x tmax
 TAIL = 1e-16           # bound on the Bessel tail the expansion drops
-_CHUNK = 64            # terms per gemm into the kets
+_CHUNK = 64            # terms per gemm into the sum: one gemm at L = 9 and 12 (59-74 terms
+                       # for tmax 2), two at L = 16; the buffer holds _CHUNK + 2 v_m
 _WINDOW = 3            # sites per window of the cluster bound (spectral_interval)
 _PAD = 1e-12           # rounding pad of spectral_interval, relative to sum_w ||h_w||
 
@@ -65,6 +66,10 @@ class QuenchConfig:
         for name in ("coupling", "field_strength", "anisotropy"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidOptionError(f"{name}={getattr(self, name)}; need a finite number")
+        if self.model == "xxz" and not math.isfinite(self.coupling * self.anisotropy):
+            raise TooLargeError(
+                f"coupling {self.coupling:g} x anisotropy {self.anisotropy:g} overflows a float"
+            )
         if self.initial == "":
             object.__setattr__(self, "initial", "up" if self.model == "tfi" else "neel")
         if self.initial not in ("up", "neel"):
@@ -224,31 +229,39 @@ def _chebyshev_sum(p, v0: np.ndarray, table: np.ndarray) -> np.ndarray:
     p is given by its bands (columns, values), each (W, v0.size) on the
     indices of v0, so each product (p v)_r is one gather and one sum over
     the bands.  The recurrence is v_{m+1} = p v_m - v_{m-1} from
-    v_1 = p v0 / 2.  The v_m of _CHUNK terms at a time fill a ring buffer
-    that one real gemm adds to the sum, so memory does not grow with the
-    number of terms."""
+    v_1 = p v0 / 2.  The v_m of _CHUNK terms at a time fill rows 2.. of a
+    buffer, after the two v_m before them, and one real gemm adds them to
+    the sum, whose first chunk's product it is; memory does not grow with
+    the number of terms."""
     band_cols, band_vals = p
     terms = table.shape[0]
-    ring = np.empty((min(terms, _CHUNK), v0.size))
-    acc = np.zeros((table.shape[1], v0.size))
+    size = min(terms, _CHUNK)
+    ring = np.empty((2 + size, v0.size))
     for m in range(terms):
-        j = m % len(ring)
+        j = 2 + m % size
         if m == 0:
-            ring[0] = v0
+            ring[j] = v0
         else:
             np.einsum("wk,wk->k", band_vals, ring[j - 1][band_cols], out=ring[j])
             if m == 1:
                 ring[j] /= 2.0
             else:
                 ring[j] -= ring[j - 2]
-        if j == len(ring) - 1 or m == terms - 1:
-            acc += table[m - j : m + 1].T @ ring[: j + 1]
+        if j == size + 1 or m == terms - 1:
+            if m < size:
+                acc = table[: m + 1].T @ ring[2 : j + 1]
+            else:
+                acc += table[m + 2 - j : m + 1].T @ ring[2 : j + 1]
+            ring[:2] = ring[j - 1 : j + 1]  # v_{m-1} and v_m open the next chunk
     return acc
 
 
 def _evolve(bands, interval, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """exp(-i H t) psi0 for each t, as columns, from H's bands and an interval
-    [lo, hi] that holds its spectrum; see quench_trajectory."""
+    [lo, hi] that holds its spectrum; see quench_trajectory.
+
+    The result is the transpose of a C-ordered (times, psi0.size) array, so
+    each ket is contiguous and written once, straight from the sum."""
     cols, vals = bands
     lo, hi = interval
     center, half, tmax = (hi + lo) / 2.0, (hi - lo) / 2.0, float(times.max())
@@ -276,10 +289,16 @@ def _evolve(bands, interval, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
     p_vals /= half or 1.0  # 2 / half would overflow at a subnormal half; 0 runs one term
     pos = np.cumsum(reached) - 1
     p_cols = np.where(p_vals != 0.0, pos[cols[:, k]], 0)
+    del bands, cols, vals, nonzero, pos  # the full-space bands are not needed again
     acc = _chebyshev_sum((p_cols, p_vals), psi0[k], table)
-    kets = np.zeros((psi0.size, times.size), dtype=complex)
-    kets[k] = acc[: times.size].T + 1j * acc[times.size :].T
-    return kets
+    del p_cols, p_vals  # nor these, before the kets are allocated
+    kets = np.zeros((times.size, psi0.size), dtype=complex)
+    # A ket at a time: indexing the columns of all kets at once scatters
+    # across rows, 25 ms where this takes 5 at L = 16 TFI
+    for ket, re, im in zip(kets, acc[: times.size], acc[times.size :]):
+        ket.real[k] = re
+        ket.imag[k] = im
+    return kets.T
 
 
 def quench_trajectory(
@@ -306,6 +325,8 @@ def quench_trajectory(
     kets = _evolve(
         hamiltonian_bands(config), spectral_interval(config), initial_product_state(config), times
     )
+    # A view, as each ket is contiguous: validate_stack's is the kets' one copy
     stack = kets.T.reshape(times.size, 2**config.cut, -1)
     states = validate_stack(stack, name=lambda i: f"t = {times[i]}")
+    del kets, stack  # only the states' copy lives through analyze_batch
     return list(zip(times.tolist(), analyze_batch(states, options)))

@@ -6,6 +6,7 @@ import math
 import re
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -542,6 +543,46 @@ def test_parse_schema_3_size_bound_fires_before_decoding(tmp_path, monkeypatch, 
     doc = {"schema_version": 3, "n": 2, "d": 2, "amplitudes": b64([0.5, 0.0] * 4)}
     path.write_text(json.dumps(doc))
     assert_refused_as_too_large(path, caplog, capsys)
+
+
+def test_parse_schema_3_peak_memory(tmp_path):
+    # 2^16 amplitudes, a string of P = 1,398,104 base64 characters.  The file
+    # text and the document's string are held together while json.loads runs
+    # (2 P); the decode holds the string, the 16 n d = 0.75 P bytes and one
+    # piece (0.52 P).  Decoding all of the string at once held it, its ASCII
+    # bytes and the decoded bytes: 2.75 P
+    state = random_haar_state(256, 256, 1)
+    path = tmp_path / "state.json"
+    write_state_file(state, path)
+    chars = len(state_to_dict(state)["amplitudes"])
+    parse_state_file(path)
+    tracemalloc.start()
+    try:
+        parsed = parse_state_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(parsed.amplitudes, state.amplitudes)
+    assert peak < 2.5 * chars
+
+
+@pytest.mark.parametrize("d, pieces", [(2, 1), (5, 2), (7, 3)])
+def test_parse_schema_3_pieces_meet(tmp_path, monkeypatch, d, pieces):
+    # 32, 80 and 112 bytes decoded in pieces of 48 (64 characters), the last
+    # one padded with "=", "=" and "==".  A first piece that ends in "=="
+    # decodes to 46 bytes and would shift the rest: refused
+    monkeypatch.setattr(espent.io, "_PIECE_BYTES", 48)
+    state = random_haar_state(1, d, 2)
+    text = state_to_dict(state)["amplitudes"]
+    assert -(-len(text) // 64) == pieces and text.endswith("=")
+    path = tmp_path / "state.json"
+    write_state_file(state, path)
+    assert np.array_equal(parse_state_file(path).amplitudes, state.amplitudes)
+    if pieces > 1:
+        doc = {"schema_version": 3, "n": 1, "d": d, "amplitudes": text[:62] + "==" + text[64:]}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=f"padding for 46 bytes, not {16 * d}"):
+            parse_state_file(path)
 
 
 README_STATE = """{

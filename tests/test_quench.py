@@ -66,8 +66,9 @@ EDGE_COUPLINGS = COUPLINGS + [(1.0, 0.0, 1.0), (0.7, 1.3, 0.0)]
 
 
 def test_config_validation():
-    with pytest.raises(TooLargeError):
-        QuenchConfig(model="tfi", length=13, cut=2, tmax=1.0, steps=2)
+    QuenchConfig(model="tfi", length=16, cut=2, tmax=1.0, steps=2)
+    with pytest.raises(TooLargeError, match="length 17 exceeds 16"):
+        QuenchConfig(model="tfi", length=17, cut=2, tmax=1.0, steps=2)
     with pytest.raises(InvalidCutError):
         QuenchConfig(model="tfi", length=6, cut=6, tmax=1.0, steps=2)
     with pytest.raises(ValueError):
@@ -169,8 +170,8 @@ def test_banded_product_matches_the_bit_rule_reference(
 
 @pytest.mark.parametrize("model", ["tfi", "xxz"])
 def test_trajectory_allocates_no_dense_hamiltonian(model):
-    # The dense H of L = 11 alone is 32 MiB; the peak is 2.7 MiB (TFI, all
-    # 2048 states reached) and 0.85 MiB (XXZ, 462 states)
+    # The dense H of L = 11 alone is 32 MiB; the peak is 1.3 MiB (TFI, all
+    # 2048 states reached) and 0.7 MiB (XXZ, 462 states)
     cfg = QuenchConfig(model=model, length=11, cut=5, tmax=1.0, steps=1)
     tracemalloc.start()
     try:
@@ -179,6 +180,60 @@ def test_trajectory_allocates_no_dense_hamiltonian(model):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 4**cfg.length / 2
+
+
+def test_trajectory_peak_memory_over_ket_bytes():
+    # TFI L = 12, cut 1: the peak is in the recurrence, whose buffer, sum
+    # and bands read 4.29 times the bytes of the 21 kets (4.92 when the sum
+    # started from zeros, a product temporary was added to it, and the full
+    # space bands lived through the recurrence); one more complex temporary
+    # of the kets' size would add 1
+    cfg = QuenchConfig(model="tfi", length=12, cut=1, tmax=2.0, steps=20)
+    quench_trajectory(cfg)
+    tracemalloc.start()
+    try:
+        quench_trajectory(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * (cfg.steps + 1) * 2**cfg.length * 16
+
+
+@pytest.mark.parametrize("model", ["tfi", "xxz"])
+def test_validate_stack_gets_a_view_of_the_kets(monkeypatch, model):
+    # The kets are written once, by _evolve; validate_stack's copy is the only other
+    evolved, handed = [], []
+    evolve, validate = espent.quench._evolve, espent.quench.validate_stack
+
+    def evolve_spy(*args):
+        evolved.append(evolve(*args))
+        return evolved[-1]
+
+    def validate_spy(raw, **kwargs):
+        handed.append(raw)
+        return validate(raw, **kwargs)
+
+    monkeypatch.setattr(espent.quench, "_evolve", evolve_spy)
+    monkeypatch.setattr(espent.quench, "validate_stack", validate_spy)
+    quench_trajectory(QuenchConfig(model=model, length=9, cut=4, tmax=2.0, steps=20))
+    (kets,), (stack,) = evolved, handed
+    assert kets.shape == (2**9, 21) and stack.shape == (21, 2**4, 2**5)
+    assert np.shares_memory(stack, kets) and stack.flags.c_contiguous
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+@pytest.mark.parametrize("model", ["tfi", "xxz"])
+def test_chunked_sums_match_one_gemm(monkeypatch, model, chunk):
+    # At L = 9 one gemm takes all 59 or 60 terms; chunks of 1 and 3 hand
+    # the last two v_m on to every next chunk and add each gemm to the sum
+    cfg = QuenchConfig(model=model, length=9, cut=1, tmax=2.0, steps=20)
+    times = np.linspace(0.0, cfg.tmax, cfg.steps + 1)
+    psi0 = initial_product_state(cfg)
+    reference = _evolve(hamiltonian_bands(cfg), spectral_interval(cfg), psi0, times)
+    monkeypatch.setattr(espent.quench, "_CHUNK", chunk)
+    kets = _evolve(hamiltonian_bands(cfg), spectral_interval(cfg), psi0, times)
+    np.testing.assert_allclose(kets, reference, rtol=0.0, atol=1e-14)
+    assert np.array_equal(kets[:, 0], psi0) and not kets[:, 0].imag.any()
 
 
 @pytest.mark.parametrize(
@@ -663,6 +718,24 @@ def test_reflection_breaking_hamiltonian_raises(model):
 def test_non_finite_couplings_rejected(field, value):
     with pytest.raises(InvalidOptionError, match=field):
         QuenchConfig(model="xxz", length=4, cut=2, tmax=1.0, steps=2, **{field: value})
+
+
+@pytest.mark.parametrize("coupling, anisotropy", [(1e200, 1e200), (-1e200, 1e200), (1e300, 1e10)])
+def test_coupling_times_anisotropy_overflow_refused(coupling, anisotropy):
+    # J Delta is XXZ's ZZ coupling: an overflow would make H's diagonal inf
+    with pytest.raises(TooLargeError, match="overflows a float"):
+        QuenchConfig(model="xxz", length=4, cut=2, tmax=1.0, steps=2, coupling=coupling,
+                     anisotropy=anisotropy)
+    # TFI has no Delta
+    QuenchConfig(model="tfi", length=4, cut=2, tmax=1.0, steps=2, coupling=coupling,
+                 anisotropy=anisotropy)
+
+
+@pytest.mark.parametrize("model", ["tfi", "xxz"])
+def test_huge_finite_coupling_meets_the_term_bound(model):
+    cfg = QuenchConfig(model=model, length=4, cut=2, tmax=1.0, steps=2, coupling=1e160)
+    with pytest.raises(TooLargeError, match="Chebyshev terms"):
+        quench_trajectory(cfg)
 
 
 def test_initial_states():
