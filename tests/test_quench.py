@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import tracemalloc
 
 import mpmath as mp
@@ -187,8 +188,12 @@ def test_trajectory_peak_memory_over_ket_bytes():
     # and bands read 4.29 times the bytes of the 21 kets (4.92 when the sum
     # started from zeros, a product temporary was added to it, and the full
     # space bands lived through the recurrence); one more complex temporary
-    # of the kets' size would add 1
+    # of the kets' size would add 1.  Before Python 3.11 the caller's stack
+    # holds a call's arguments until it returns, so the full-space bands
+    # (0.62 times the kets) live through the recurrence there
     cfg = QuenchConfig(model="tfi", length=12, cut=1, tmax=2.0, steps=20)
+    cols, vals = hamiltonian_bands(cfg)
+    held = cols.nbytes + vals.nbytes if sys.version_info < (3, 11) else 0
     quench_trajectory(cfg)
     tracemalloc.start()
     try:
@@ -196,7 +201,7 @@ def test_trajectory_peak_memory_over_ket_bytes():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4.5 * (cfg.steps + 1) * 2**cfg.length * 16
+    assert peak < 4.5 * (cfg.steps + 1) * 2**cfg.length * 16 + held
 
 
 @pytest.mark.parametrize("model", ["tfi", "xxz"])
