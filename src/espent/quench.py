@@ -289,7 +289,9 @@ def _evolve(bands, interval, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
     p_vals /= half or 1.0  # 2 / half would overflow at a subnormal half; 0 runs one term
     pos = np.cumsum(reached) - 1
     p_cols = np.where(p_vals != 0.0, pos[cols[:, k]], 0)
-    del bands, cols, vals, nonzero, pos  # the full-space bands are not needed again
+    # The full-space bands are not needed again (freed here from Python 3.11 on,
+    # where a call's arguments are not held on its caller's stack)
+    del bands, cols, vals, nonzero, pos
     acc = _chebyshev_sum((p_cols, p_vals), psi0[k], table)
     del p_cols, p_vals  # nor these, before the kets are allocated
     kets = np.zeros((times.size, psi0.size), dtype=complex)
