@@ -7,8 +7,10 @@ import functools
 import json
 import logging
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .errors import EspentError, InvalidOrderError
+from .fermions import MAX_STATE_SIZE
 from .io import canonical_chunks, parse_state_file, write_state_file
 from .quench import QuenchConfig, quench_trajectory
 from .report import AnalysisOptions, analyze
@@ -80,8 +82,47 @@ def _parse_alphas(text: str) -> tuple[float, ...]:
     return tuple(alphas)
 
 
+# json's C encoder: json uses it only where no indent is asked for
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
+def _indented_json(value) -> str:
+    """json.dumps(value, sort_keys=True, indent=2) for dicts with string keys, lists,
+    strings, numbers, bools and None.
+
+    json's indenting encoder is pure Python.  Here the layout is a template with a
+    %s for each number, bool, None or empty container, and the C encoder writes all
+    of those in one call; none of their texts holds the ", " that joins them."""
+    leaves = []
+
+    def layout(value, indent: str) -> str:
+        inner = indent + "  "
+        if isinstance(value, dict) and value:
+            items = [
+                inner + encode_basestring_ascii(key).replace("%", "%%") + ": "
+                + layout(value[key], inner)
+                for key in sorted(value)
+            ]
+            return "{" + ",".join(items) + indent + "}"
+        if isinstance(value, (list, tuple)) and value:
+            if any(isinstance(item, (str, list, tuple, dict)) for item in value):
+                items = [inner + layout(item, inner) for item in value]
+                return "[" + ",".join(items) + indent + "]"
+            leaves.extend(value)  # a list of numbers: no call per item
+            return "[" + inner + ("," + inner).join(["%s"] * len(value)) + indent + "]"
+        if isinstance(value, str):
+            return encode_basestring_ascii(value).replace("%", "%%")
+        leaves.append(value)
+        return "%s"
+
+    template = layout(value, "\n")
+    return template % tuple(_encode(leaves)[1:-1].split(", ") if leaves else ())
+
+
 def _cmd_analyze(args) -> int:
-    state = parse_state_file(args.file, renormalize=args.renormalize)
+    # The bunching simulation's bound is checked as soon as n and d are read
+    bound = MAX_STATE_SIZE if args.simulate_bunching else None
+    state = parse_state_file(args.file, renormalize=args.renormalize, max_amplitudes=bound)
     if state.renorm_factor != 1.0:
         log.info("renormalized input by factor %.17g", state.renorm_factor)
     options = AnalysisOptions(
@@ -91,7 +132,7 @@ def _cmd_analyze(args) -> int:
         simulate_bunching=args.simulate_bunching,
     )
     report = analyze(state, options)
-    text = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+    text = _indented_json(report.to_dict()) + "\n"
     if args.json_out:
         with open(args.json_out, "w") as fh:
             fh.write(text)
@@ -121,9 +162,7 @@ def _cmd_quench(args) -> int:
     if args.json_out:
         # A JSON array of one compact record per line: an indent would make
         # json use its pure-Python encoder, about three times slower.
-        # One encoder for all records, with json.dumps(..., sort_keys=True)'s bytes
-        encode = json.JSONEncoder(sort_keys=True).encode
-        lines = (encode({"time": t, "report": report.to_dict()}) for t, report in trajectory)
+        lines = (_encode({"time": t, "report": report.to_dict()}) for t, report in trajectory)
         with open(args.json_out, "w") as fh:
             fh.write("[\n" + ",\n".join(lines) + "\n]\n")
     # Compact trajectory table on stdout.

@@ -23,6 +23,7 @@ fermionic_encoding_probability sums these areas over the smaller side of psi.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,6 +42,7 @@ MAX_STATE_SIZE = 64 * 64
 # Amplitudes per chunk of fermionic_encoding_probability (64 KiB of projected rows):
 # with 2^14 the larger temporaries' page faults made a 32x32 call twice as slow.
 _TILE = 1 << 12
+_TINY = np.finfo(float).tiny  # floor of the norms that the overlaps are divided by
 
 # 50:50 convention: a+_(1) -> (b+_(3) - b+_(4)) / sqrt(2),
 #                   a+_(2) -> (b+_(3) + b+_(4)) / sqrt(2), level-preserving.
@@ -152,9 +154,9 @@ def fermionic_encoding_probability(state: PureBipartiteState) -> float:
     psi = state.amplitudes if state.n <= state.d else state.amplitudes.T
     gram = psi.conj() @ psi.T
     norms = gram.diagonal().real
-    rows_a, rows_b = np.triu_indices(len(psi), 1)
+    rows_a, rows_b = _pairs(len(psi))
     # A zero row has zero overlaps: its pairs get c = 0 and weigh 0.
-    coefs = gram[rows_a, rows_b] / np.maximum(norms[rows_a], np.finfo(float).tiny)
+    coefs = gram[rows_a, rows_b] / np.maximum(norms[rows_a], _TINY)
     step = max(1, _TILE // psi.shape[1])
     areas = []
     for s in range(0, len(rows_a), step):
@@ -164,6 +166,18 @@ def fermionic_encoding_probability(state: PureBipartiteState) -> float:
         squares = np.square(height.view(float), out=height.view(float))
         areas.extend((norms[a] * squares.sum(axis=1)).tolist())
     return math.fsum(areas)
+
+
+@functools.lru_cache(maxsize=64)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, 1), read-only: the row pairs a < b, built once per row count.
+
+    The smaller side of a simulated state has at most 64 rows, so the cache holds
+    every row count; all 64 cost 0.7 MB."""
+    pairs = np.triu_indices(n, 1)
+    for rows in pairs:
+        rows.flags.writeable = False
+    return pairs
 
 
 def check_bunching_size(state: PureBipartiteState) -> None:

@@ -28,8 +28,8 @@ from .states import validate_state  # noqa: F401  bench/spans.py wraps this name
 MAX_LENGTH = 16
 MAX_TERMS = 2**14      # Chebyshev terms per trajectory: the cost grows with half-width x tmax
 TAIL = 1e-16           # bound on the Bessel tail the expansion drops
-_CHUNK = 64            # terms per gemm into the sum: one gemm at L = 9 and 12 (59-74 terms
-                       # for tmax 2), two at L = 16; the buffer holds _CHUNK + 2 v_m
+_CHUNK = 64            # terms per gemm into a long sum; at tmax 2 (59-91 terms from L = 9
+                       # to 16) every sum takes one gemm (_chebyshev_sum)
 _WINDOW = 3            # sites per window of the cluster bound (spectral_interval)
 _PAD = 1e-12           # rounding pad of spectral_interval, relative to sum_w ||h_w||
 
@@ -229,13 +229,16 @@ def _chebyshev_sum(p, v0: np.ndarray, table: np.ndarray) -> np.ndarray:
     p is given by its bands (columns, values), each (W, v0.size) on the
     indices of v0, so each product (p v)_r is one gather and one sum over
     the bands.  The recurrence is v_{m+1} = p v_m - v_{m-1} from
-    v_1 = p v0 / 2.  The v_m of _CHUNK terms at a time fill rows 2.. of a
-    buffer, after the two v_m before them, and one real gemm adds them to
-    the sum, whose first chunk's product it is; memory does not grow with
-    the number of terms."""
+    v_1 = p v0 / 2.  The v_m of a chunk of terms fill rows 2.. of a buffer,
+    after the two v_m before them, and one real gemm adds them to the sum,
+    whose first chunk's product it is.  A chunk holds all terms while that
+    buffer is no larger than one of _CHUNK terms and the product a second
+    chunk's gemm would allocate (table.shape[1] rows), so no product is
+    allocated; longer sums take _CHUNK terms a chunk, and memory does not
+    grow with the number of terms."""
     band_cols, band_vals = p
     terms = table.shape[0]
-    size = min(terms, _CHUNK)
+    size = terms if terms <= _CHUNK + table.shape[1] else _CHUNK
     ring = np.empty((2 + size, v0.size))
     for m in range(terms):
         j = 2 + m % size

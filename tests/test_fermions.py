@@ -228,6 +228,18 @@ def test_tall_and_wide_states_peak_memory(n, d):
         assert p == pytest.approx(_minors_probability(s.amplitudes), rel=1e-14, abs=0.0)
 
 
+def test_row_pairs_are_cached_read_only_triu_indices():
+    # Every row count of the smaller side of a simulated state, 1..64
+    for n in range(1, 65):
+        rows_a, rows_b = espent.fermions._pairs(n)
+        ref_a, ref_b = np.triu_indices(n, 1)
+        assert np.array_equal(rows_a, ref_a) and np.array_equal(rows_b, ref_b)
+        assert not rows_a.flags.writeable and not rows_b.flags.writeable
+        assert espent.fermions._pairs(n)[0] is rows_a
+    with pytest.raises(ValueError, match="read-only"):
+        rows_a[0] = 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 24), d=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
 def test_transposed_state_bunches_alike_property(n, d, seed):

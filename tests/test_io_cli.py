@@ -491,6 +491,26 @@ def test_parse_schema_2_size_bound_fires_before_conversion(tmp_path, monkeypatch
     assert_refused_as_too_large(path, caplog, capsys)
 
 
+@pytest.mark.parametrize("version", [1, 2])
+def test_parse_schema_1_and_2_header_over_their_bound(tmp_path, caplog, capsys, version):
+    # 1025 x 1024 amplitudes, 1024 over MAX_LISTED_AMPLITUDES (2^20): the
+    # header refuses the file before any row is looked at
+    assert 1025 * 1024 > espent.io.MAX_LISTED_AMPLITUDES == 1 << 20
+    path = tmp_path / "listed.json"
+    path.write_text(json.dumps({"schema_version": version, "n": 1025, "d": 1024, "amplitudes": []}))
+    assert_refused_as_too_large(path, caplog, capsys)
+
+
+def test_parse_schema_2_at_its_bound(tmp_path):
+    # 2^20 amplitudes of 2^-10 each, so the norm is exactly 1
+    doc = {"schema_version": 2, "n": 1024, "d": 1024, "amplitudes": [[2**-10, 0] * 1024] * 1024}
+    path = tmp_path / "listed.json"
+    path.write_text(json.dumps(doc))
+    del doc
+    state = parse_state_file(path)
+    assert state.amplitudes.shape == (1024, 1024) and (state.amplitudes == 2**-10).all()
+
+
 def b64(values) -> str:
     """Schema 3 amplitudes of interleaved re, im floats."""
     return base64.b64encode(np.array(values, dtype="<f8").tobytes()).decode("ascii")
@@ -705,6 +725,52 @@ def test_cli_analyze_deterministic(tmp_path, capsys):
     assert first == second
 
 
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, math.inf, -math.inf, math.nan])
+)
+REPORT_VALUES = st.recursive(
+    JSON_SCALARS | st.text(),
+    lambda children: st.lists(children, max_size=6)
+    | st.lists(JSON_SCALARS, min_size=1, max_size=6)
+    | st.dictionaries(st.text(), children, max_size=6),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@example(value={})
+@example(value={"a": [], "b": {}, "c": [[], {}], "d": ""})
+@example(value={"10": 1.0, "2": [-0.0, 5e-324, math.nan, math.inf, -math.inf], "1, 2%s": None})
+@example(value=["%s, %%", [True, False, None, 0, -1, 10**40], {"%": "%s"}])
+@example(value=math.nan)
+@given(value=REPORT_VALUES)
+def test_report_writer_gives_the_indented_json_text(value):
+    assert espent.cli._indented_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("bunching", [[], ["--simulate-bunching"]])
+@pytest.mark.parametrize("options", [[], ["--r-max", "12", "--alpha", "2,0.5,3"]])
+def test_cli_analyze_writes_indented_json(tmp_path, monkeypatch, capsys, bunching, options):
+    # At --r-max 12 the S_r key "10" sorts before "2"
+    path = tmp_path / "s.json"
+    write_state_file(random_haar_state(16, 16, 3), path)
+    reports = []
+
+    def analyze_spy(*args):
+        reports.append(analyze(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(espent.cli, "analyze", analyze_spy)
+    out_json = tmp_path / "report.json"
+    assert main(["analyze", str(path), *bunching, *options, "--json", str(out_json)]) == EXIT_OK
+    text = json.dumps(reports[0].to_dict(), sort_keys=True, indent=2) + "\n"
+    assert capsys.readouterr().out == out_json.read_text() == text
+    assert ('"bunching": null' in text) != bool(bunching)
+    if options:
+        assert text.index('"10": ') < text.index('"2": ') and '"0.5": ' in text
+
+
 def test_cli_analyze_parse_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{")
@@ -736,6 +802,19 @@ def test_cli_analyze_bunching_too_large(tmp_path, caplog):
     write_state_file(validate_state(np.ones((1, 4097)) / np.sqrt(4097.0)), path)
     assert main(["analyze", str(path), "--simulate-bunching"]) == EXIT_PARSE
     assert "exceeds 4096" in caplog.text
+
+
+def test_cli_bunching_refuses_a_large_state_before_decoding(tmp_path, monkeypatch, caplog, capsys):
+    # 512 x 512 is within MAX_AMPLITUDES but 64 times MAX_STATE_SIZE
+    path = tmp_path / "big.json"
+    write_state_file(validate_state(np.full((512, 512), 1 / 512)), path)
+    decoded = []
+    decode = espent.io._decoded
+    monkeypatch.setattr(espent.io, "_decoded", lambda *a: decoded.append(a) or decode(*a))
+    assert main(["analyze", str(path), "--simulate-bunching"]) == EXIT_PARSE
+    assert len(caplog.records) == 1 and "exceeds 4096" in caplog.text
+    assert capsys.readouterr().out == "" and decoded == []
+    assert main(["analyze", str(path)]) == EXIT_OK and len(decoded) == 1
 
 
 @pytest.mark.parametrize(

@@ -204,6 +204,26 @@ def test_trajectory_peak_memory_over_ket_bytes():
     assert peak < 4.5 * (cfg.steps + 1) * 2**cfg.length * 16 + held
 
 
+def test_one_gemm_sum_allocates_no_product_temporary():
+    # TFI L = 14, cut 1: 79 terms.  Their buffer (81 v_m) is smaller than one
+    # of _CHUNK + 2 v_m and the product of a second chunk's gemm (42 rows, the
+    # kets' bytes), so one gemm takes them all: the peak reads 3.73 times the
+    # bytes of the 21 kets, where two chunks read 4.37.  Before Python 3.11
+    # the caller's stack holds the full-space bands (0.71 times the kets)
+    cfg = QuenchConfig(model="tfi", length=14, cut=1, tmax=2.0, steps=20)
+    cols, vals = hamiltonian_bands(cfg)
+    held = cols.nbytes + vals.nbytes if sys.version_info < (3, 11) else 0
+    del cols, vals
+    quench_trajectory(cfg)
+    tracemalloc.start()
+    try:
+        quench_trajectory(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.0 * (cfg.steps + 1) * 2**cfg.length * 16 + held
+
+
 @pytest.mark.parametrize("model", ["tfi", "xxz"])
 def test_validate_stack_gets_a_view_of_the_kets(monkeypatch, model):
     # The kets are written once, by _evolve; validate_stack's copy is the only other
