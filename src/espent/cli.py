@@ -84,6 +84,7 @@ def _parse_alphas(text: str) -> tuple[float, ...]:
 
 # json's C encoder: json uses it only where no indent is asked for
 _encode = json.JSONEncoder(sort_keys=True).encode
+_NUMBERS = frozenset((int, float, bool, type(None)))  # json writes none with ", " in it
 
 
 def _indented_json(value) -> str:
@@ -92,7 +93,7 @@ def _indented_json(value) -> str:
 
     json's indenting encoder is pure Python.  Here the layout is a template with a
     %s for each number, bool, None or empty container, and the C encoder writes all
-    of those in one call; none of their texts holds the ", " that joins them."""
+    of those in one call, joined by ", ", which none of their texts holds."""
     leaves = []
 
     def layout(value, indent: str) -> str:
@@ -105,11 +106,11 @@ def _indented_json(value) -> str:
             ]
             return "{" + ",".join(items) + indent + "}"
         if isinstance(value, (list, tuple)) and value:
-            if any(isinstance(item, (str, list, tuple, dict)) for item in value):
-                items = [inner + layout(item, inner) for item in value]
-                return "[" + ",".join(items) + indent + "]"
-            leaves.extend(value)  # a list of numbers: no call per item
-            return "[" + inner + ("," + inner).join(["%s"] * len(value)) + indent + "]"
+            if _NUMBERS.issuperset(map(type, value)):  # no call per number
+                leaves.extend(value)
+                return "[" + inner + ("," + inner).join(["%s"] * len(value)) + indent + "]"
+            items = [inner + layout(item, inner) for item in value]
+            return "[" + ",".join(items) + indent + "]"
         if isinstance(value, str):
             return encode_basestring_ascii(value).replace("%", "%%")
         leaves.append(value)

@@ -743,6 +743,7 @@ REPORT_VALUES = st.recursive(
 @example(value={"a": [], "b": {}, "c": [[], {}], "d": ""})
 @example(value={"10": 1.0, "2": [-0.0, 5e-324, math.nan, math.inf, -math.inf], "1, 2%s": None})
 @example(value=["%s, %%", [True, False, None, 0, -1, 10**40], {"%": "%s"}])
+@example(value={"s": ["a, b", 1.5, None]})
 @example(value=math.nan)
 @given(value=REPORT_VALUES)
 def test_report_writer_gives_the_indented_json_text(value):
