@@ -28,7 +28,7 @@ _DTYPE = "<c16"  # little-endian complex128: re, then im
 _PIECE_BYTES = 3 * 2**16
 # Most amplitudes a schema 1 or 2 file may hold: their rows of Python numbers cost
 # far more than the amplitudes. A schema 2 file of 2^20 takes 0.80 s and a 125 MiB
-# tracemalloc peak to parse (2-core Xeon); 2^24 would take about 2.7 GB.
+# tracemalloc peak to parse (2-core Xeon); 2^24 extrapolates to about 2.7 GB.
 MAX_LISTED_AMPLITUDES = 1 << 20
 
 

@@ -28,8 +28,8 @@ from .states import validate_state  # noqa: F401  bench/spans.py wraps this name
 MAX_LENGTH = 16
 MAX_TERMS = 2**14      # Chebyshev terms per trajectory: the cost grows with half-width x tmax
 TAIL = 1e-16           # bound on the Bessel tail the expansion drops
-_CHUNK = 64            # terms per gemm into a long sum; at tmax 2 (59-91 terms from L = 9
-                       # to 16) every sum takes one gemm (_chebyshev_sum)
+_CHUNK = 64            # terms per gemm into a long sum; at tmax 2 and 21 times (59-91 terms
+                       # from L = 9 to 16) every sum takes one gemm (_chebyshev_sum)
 _WINDOW = 3            # sites per window of the cluster bound (spectral_interval)
 _PAD = 1e-12           # rounding pad of spectral_interval, relative to sum_w ||h_w||
 

@@ -184,44 +184,29 @@ def test_trajectory_allocates_no_dense_hamiltonian(model):
 
 
 def test_trajectory_peak_memory_over_ket_bytes():
-    # TFI L = 12, cut 1: the peak is in the recurrence, whose buffer, sum
-    # and bands read 4.29 times the bytes of the 21 kets (4.92 when the sum
-    # started from zeros, a product temporary was added to it, and the full
-    # space bands lived through the recurrence); one more complex temporary
-    # of the kets' size would add 1.  Before Python 3.11 the caller's stack
-    # holds a call's arguments until it returns, so the full-space bands
-    # (0.62 times the kets) live through the recurrence there
-    cfg = QuenchConfig(model="tfi", length=12, cut=1, tmax=2.0, steps=20)
-    cols, vals = hamiltonian_bands(cfg)
-    held = cols.nbytes + vals.nbytes if sys.version_info < (3, 11) else 0
-    quench_trajectory(cfg)
-    tracemalloc.start()
-    try:
+    # TFI, cut 1: the peak is in the recurrence, whose buffer, sum and bands
+    # read 3.46 (L = 12, 71 terms) and 3.73 (L = 14, 79 terms) times the bytes
+    # of the 21 kets.  One gemm takes all terms, as their buffer is no larger
+    # than one of _CHUNK + 2 v_m and the product of a second chunk's gemm (42
+    # rows, the kets' bytes); two chunks read 4.29 and 4.37, and 4.92 at L = 12
+    # when the sum started from zeros and the full-space bands lived through
+    # the recurrence.  One more complex temporary of the kets' size would add
+    # 1.  Before Python 3.11 the caller's stack holds a call's arguments until
+    # it returns, so the full-space bands (0.62 and 0.71 times the kets) live
+    # through the recurrence there
+    for length in (12, 14):
+        cfg = QuenchConfig(model="tfi", length=length, cut=1, tmax=2.0, steps=20)
+        cols, vals = hamiltonian_bands(cfg)
+        held = cols.nbytes + vals.nbytes if sys.version_info < (3, 11) else 0
+        del cols, vals
         quench_trajectory(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4.5 * (cfg.steps + 1) * 2**cfg.length * 16 + held
-
-
-def test_one_gemm_sum_allocates_no_product_temporary():
-    # TFI L = 14, cut 1: 79 terms.  Their buffer (81 v_m) is smaller than one
-    # of _CHUNK + 2 v_m and the product of a second chunk's gemm (42 rows, the
-    # kets' bytes), so one gemm takes them all: the peak reads 3.73 times the
-    # bytes of the 21 kets, where two chunks read 4.37.  Before Python 3.11
-    # the caller's stack holds the full-space bands (0.71 times the kets)
-    cfg = QuenchConfig(model="tfi", length=14, cut=1, tmax=2.0, steps=20)
-    cols, vals = hamiltonian_bands(cfg)
-    held = cols.nbytes + vals.nbytes if sys.version_info < (3, 11) else 0
-    del cols, vals
-    quench_trajectory(cfg)
-    tracemalloc.start()
-    try:
-        quench_trajectory(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4.0 * (cfg.steps + 1) * 2**cfg.length * 16 + held
+        tracemalloc.start()
+        try:
+            quench_trajectory(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.0 * (cfg.steps + 1) * 2**cfg.length * 16 + held
 
 
 @pytest.mark.parametrize("model", ["tfi", "xxz"])
