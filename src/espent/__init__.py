@@ -9,7 +9,6 @@ which this package simulates in full.
 """
 
 from .entropy import (
-    PuritySequence,
     SeriesResult,
     linear_entropy,
     purities_from_esp,

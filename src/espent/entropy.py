@@ -42,38 +42,6 @@ CERTIFY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class PuritySequence:
-    """p_k = Tr(rho^k) for k = 1..K."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        vals = tuple(map(float, self.values))
-        if not vals:
-            raise OrderOutOfRangeError("need at least one purity")
-        if not all(map(math.isfinite, vals)):
-            raise ValueError("purities hold a NaN or infinite value")
-        if abs(vals[0] - 1.0) > 1e-10:
-            raise ValueError(f"p_1 = {vals[0]} is not 1")
-        # Whole-tuple checks first; the failing index is looked up only on failure.
-        if min(vals) < -1e-9 or max(vals) > 1.0 + 1e-9:
-            k, v = next((k, v) for k, v in enumerate(vals, 1) if not -1e-9 <= v <= 1.0 + 1e-9)
-            raise ValueError(f"p_{k} = {v} outside [0, 1]")
-        if any(map(operator.gt, vals[2:], map((1e-9).__add__, vals[1:-1]))):
-            k = next(k for k in range(1, len(vals) - 1) if vals[k + 1] > vals[k] + 1e-9)
-            raise ValueError(f"purities not monotone at k={k + 1}")
-        object.__setattr__(self, "values", vals)
-
-    def __getitem__(self, k: int) -> float:
-        if not 1 <= k <= len(self.values):
-            raise OrderOutOfRangeError(f"k={k} outside 1..{len(self.values)}")
-        return self.values[k - 1]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
 class SeriesResult:
     """S_r from the closed form; converged means the roots of q_r are
     certified and the series has radius max |1 - nu| < 1."""
@@ -157,13 +125,15 @@ def _girard_newton_coeff(k: int, parts: tuple[tuple[int, int], ...]) -> Fraction
     return Fraction(k * (-1) ** (k + count) * math.factorial(count - 1), denom)
 
 
-def purities_from_esp(esp: ESPVector, K: int) -> PuritySequence:
-    """Tr(rho^k) for k = 1..K via the Girard-Newton partition formula.
+def purities_from_esp(esp: ESPVector, K: int) -> tuple[float, ...]:
+    """(Tr rho, ..., Tr rho^K) via the Girard-Newton partition formula.
 
     Coefficients are exact big-integer rationals, converted to float only
     when multiplied onto the ESP monomial; terms are summed exactly
     rounded with math.fsum.  K < 1 gives no purity: OrderOutOfRangeError.
     """
+    if K < 1:
+        raise OrderOutOfRangeError(f"K={K} must be >= 1")
     vals = []
     for k in range(1, K + 1):
         terms = []
@@ -172,7 +142,7 @@ def purities_from_esp(esp: ESPVector, K: int) -> PuritySequence:
             mono = math.prod(esp[l] ** p for l, p in parts)
             terms.append(float(coeff) * mono)
         vals.append(math.fsum(terms))
-    return PuritySequence(values=tuple(vals))
+    return tuple(vals)
 
 
 def purity_heads(heads, K: int) -> list[list[float]]:
@@ -182,8 +152,8 @@ def purity_heads(heads, K: int) -> list[list[float]]:
     return [[math.fsum([x**k for x in head]) for k in range(1, K + 1)] for head in heads]
 
 
-def purities_recurrence(esp: ESPVector, K: int) -> PuritySequence:
-    """Tr(rho^k) via the Newton recurrence; cross-check for the power sums.
+def purities_recurrence(esp: ESPVector, K: int) -> tuple[float, ...]:
+    """(Tr rho, ..., Tr rho^K) via the Newton recurrence; cross-check for the power sums.
 
     p_k = e_1 p_{k-1} - e_2 p_{k-2} + ... + (-1)^(k-1) k e_k  (k <= n),
     with the trailing term dropped for k > n.
@@ -200,7 +170,7 @@ def purities_recurrence(esp: ESPVector, K: int) -> PuritySequence:
         if m <= n:
             acc += m * signed[m - 1]
         s.append(acc)
-    return PuritySequence(values=tuple(s[1:]))
+    return tuple(s[1:])
 
 
 # ---------------------------------------------------------------------------

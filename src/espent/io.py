@@ -127,9 +127,9 @@ def _decoded(text, n: int, d: int) -> np.ndarray:
     return np.frombuffer(out, _DTYPE).reshape(n, d)
 
 
-def _parse_state_dict(doc: dict, renormalize: bool, bound: int) -> PureBipartiteState:
-    """The state a parsed JSON document of at most bound amplitudes holds (at most
-    MAX_LISTED_AMPLITUDES for schemas 1 and 2); takes its amplitudes out of doc."""
+def _parse_state_dict(doc: dict, bound: int) -> np.ndarray:
+    """The amplitude matrix of a parsed JSON document of at most bound amplitudes (at
+    most MAX_LISTED_AMPLITUDES for schemas 1 and 2); takes its amplitudes out of doc."""
     # type(), not ==: True == 1, and 1.0 == 1.
     version = doc.get("schema_version", 1)
     if type(version) is not int or version not in (1, 2, 3):
@@ -143,9 +143,7 @@ def _parse_state_dict(doc: dict, renormalize: bool, bound: int) -> PureBipartite
             raise ParseError(f"{name} must be an integer, not {type(value).__name__}")
     _check_size(n * d, bound if version == 3 else min(bound, MAX_LISTED_AMPLITUDES))
     if version == 3:
-        amplitudes = _decoded(rows, n, d)
-        del rows  # not held while validate_state copies the amplitudes
-        return validate_state(amplitudes, renormalize=renormalize)
+        return _decoded(rows, n, d)
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ParseError("amplitudes must be a list of rows, each a list")
     width = d if version == 1 else 2 * d
@@ -155,14 +153,13 @@ def _parse_state_dict(doc: dict, renormalize: bool, bound: int) -> PureBipartite
             + ("" if version == 1 else f": schema 2 rows hold 2 d = {width} floats")
         )
     if version == 1:
-        raw = np.array([[_amplitude(c) for c in row] for row in rows], dtype=complex)
-        return validate_state(raw, renormalize=renormalize)
+        return np.array([[_amplitude(c) for c in row] for row in rows], dtype=complex)
     if not _REAL.issuperset(map(type, chain.from_iterable(rows))):
         raise ParseError("bad amplitude entry: schema 2 rows hold only real numbers")
-    return validate_state(_interleaved(rows), renormalize=renormalize)
+    return _interleaved(rows)
 
 
-def _parse_state_csv(text: str, renormalize: bool, bound: int) -> PureBipartiteState:
+def _parse_state_csv(text: str, bound: int) -> np.ndarray:
     rows = [row for row in csv.reader(text.splitlines()) if row]
     if not rows:
         raise ParseError("empty CSV state file")
@@ -180,7 +177,7 @@ def _parse_state_csv(text: str, renormalize: bool, bound: int) -> PureBipartiteS
         raise DimensionMismatchError(
             f"CSV rows must hold re,im pairs; got odd width {width}"
         )
-    return validate_state(_interleaved(parsed), renormalize=renormalize)
+    return _interleaved(parsed)
 
 
 def _check_size(amplitudes: int, bound: int) -> None:
@@ -203,7 +200,7 @@ def parse_state_file(
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {p}: {exc}") from exc
     if p.suffix.lower() == ".csv":
-        return _parse_state_csv(text, renormalize, bound)
+        return validate_state(_parse_state_csv(text, bound), renormalize=renormalize)
     # JSONDecodeError is a ValueError, as is an integer of over 4300 digits;
     # json.loads raises RecursionError on arrays or objects nested too deep.
     try:
@@ -213,4 +210,5 @@ def parse_state_file(
     del text  # not held while the amplitudes become an array: 20 -> 15 MiB peak at 512 x 512
     if not isinstance(doc, dict):
         raise ParseError(f"expected a JSON object in {p}")
-    return _parse_state_dict(doc, renormalize, bound)
+    # The amplitudes string is freed when _parse_state_dict returns, before validation
+    return validate_state(_parse_state_dict(doc, bound), renormalize=renormalize)

@@ -15,7 +15,7 @@ one stack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,11 +77,11 @@ class QuenchConfig:
 
 
 def _bit_rules(
-    config: QuenchConfig, bond_weight: np.ndarray, site_weight: np.ndarray
+    config: QuenchConfig, J: float, h: float, bond_weight: np.ndarray, site_weight: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """H on n sites as bands: columns (W, 2^n) and values (..., W, 2^n), with
-    bond b's coupling times bond_weight[..., b] and site i's field times
-    site_weight[..., i] (n - 1 bonds, n sites).
+    """H at coupling J and field h (config's model and Delta) on n sites as bands:
+    columns (W, 2^n) and values (..., W, 2^n), bond b's coupling times bond_weight[..., b]
+    and site i's field times site_weight[..., i] (n - 1 bonds, n sites).
 
     Site i is bit n-1-i of a basis index (site 0 is the most significant bit)
     and spin up is bit 0, so Z_i Z_{i+1} is diagonal and X_i flips one bit.
@@ -95,12 +95,11 @@ def _bit_rules(
     low = np.arange(n - 2, -1, -1)[:, None]  # bond b joins bits n-2-b and n-1-b
     anti = ((idx ^ (idx >> 1)) >> low) & 1
     zz = bond_weight @ (1 - 2 * anti)
-    J = config.coupling
     if config.model == "tfi":
         # H = -J sum Z_i Z_{i+1} - h sum X_i
         masks = 1 << np.arange(n)
         diag = -J * zz
-        field = -config.field_strength * site_weight[..., ::-1, None]
+        field = -h * site_weight[..., ::-1, None]
         hops = np.broadcast_to(field, (*site_weight.shape, idx.size))
     else:
         # H = J sum (X_i X_{i+1} + Y_i Y_{i+1} + Delta Z_i Z_{i+1}); XX + YY
@@ -116,7 +115,8 @@ def hamiltonian_bands(config: QuenchConfig) -> tuple[np.ndarray, np.ndarray]:
     """H as (W, 2^L) band columns and values from the bit rules (_bit_rules):
     band 0 the ZZ diagonal, band w > 0 one XOR mask.  Each (row, col) occurs
     once; entries that H does not hold have the value 0."""
-    return _bit_rules(config, np.ones(config.length - 1), np.ones(config.length))
+    ones = np.ones(config.length)
+    return _bit_rules(config, config.coupling, config.field_strength, ones[1:], ones)
 
 
 def _dense(cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -150,21 +150,20 @@ def spectral_interval(config: QuenchConfig) -> tuple[float, float]:
     two is exact, so at normal couplings this changes no bit.  The ends are
     scaled back by ldexp, which rounds to nearest; rounding is monotone, so
     they hold every eigenvalue rounded to a float."""
-    J = config.coupling
+    J, h = config.coupling, config.field_strength
     if config.model == "tfi":
-        e = math.frexp(max(abs(J), abs(config.field_strength)))[1] - 1
-        scaled = replace(config, coupling=math.ldexp(J, -e),
-                         field_strength=math.ldexp(config.field_strength, -e))
+        e = math.frexp(max(abs(J), abs(h)))[1] - 1
+        h = math.ldexp(h, -e)
     else:  # XXZ has no field, which 2^-e might overflow
         e = math.frexp(max(abs(J), abs(J * config.anisotropy)))[1] - 1
-        scaled = replace(config, coupling=math.ldexp(J, -e))
     L = config.length
     n = min(_WINDOW, L)
     starts = np.arange(L - n + 1)[:, None]
     bonds, sites = starts + np.arange(n - 1), starts + np.arange(n)
     bond_count, site_count = np.bincount(bonds.ravel()), np.bincount(sites.ravel())
     evals = np.linalg.eigvalsh(
-        _dense(*_bit_rules(scaled, 1.0 / bond_count[bonds], 1.0 / site_count[sites]))
+        _dense(*_bit_rules(config, math.ldexp(J, -e), h, 1.0 / bond_count[bonds],
+                           1.0 / site_count[sites]))
     )
     pad = _PAD * np.abs(evals).max(axis=1).sum()
     lo, hi = evals[:, 0].sum() - pad, evals[:, -1].sum() + pad

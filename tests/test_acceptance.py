@@ -86,8 +86,8 @@ def test_criterion_2_girard_newton():
         a = purities_from_esp(esp, 10)
         b = purities_recurrence(esp, 10)
         direct = [math.fsum(l**k for l in spec.eigenvalues) for k in range(1, 11)]
-        worst_direct = max(worst_direct, max(abs(x - y) for x, y in zip(a.values, direct)))
-        worst_routes = max(worst_routes, max(abs(x - y) for x, y in zip(a.values, b.values)))
+        worst_direct = max(worst_direct, max(abs(x - y) for x, y in zip(a, direct)))
+        worst_routes = max(worst_routes, max(abs(x - y) for x, y in zip(a, b)))
     _report(
         "criterion 2: Girard-Newton purities match direct power sums (<= 1e-9)",
         worst_direct <= 1e-9 and worst_routes <= 1e-9,

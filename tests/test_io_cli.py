@@ -669,7 +669,7 @@ def test_analyze_route_residuals_on_haar_states(n):
     report = analyze(state, AnalysisOptions(k_max=12))
     assert report.residuals["esp_routes_max"] <= 1e-14
     recurrence = purities_recurrence(esp_from_spectrum(schmidt_spectrum(state)), 12)
-    np.testing.assert_allclose(report.purities, recurrence.values, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(report.purities, recurrence, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -801,29 +801,54 @@ def test_quench_ladder_and_growth():
         assert s_r["4"] == pytest.approx(rep.entropies["von_neumann_direct"], abs=1e-4)
 
 
+def assert_matches_the_free_fermion_oracle(length, cut, coupling, tmax, initial):
+    # At anisotropy 0 the chain is free fermions: the cut's correlation block
+    # gives the Schmidt spectrum without the bit rules, H or its Chebyshev
+    # expansion.  e_k of the oracle come from np.poly, not from the package's
+    # recurrence.
+    cfg = QuenchConfig(
+        model="xxz", length=length, cut=cut, tmax=tmax, steps=5, coupling=coupling,
+        anisotropy=0.0, initial=initial,
+    )
+    for t, report in quench_trajectory(cfg):
+        nu = free_fermion_modes(length, cut, coupling, initial, t)
+        lam = free_fermion_spectrum(nu)
+        esp = np.poly(lam)[1:] * (-1.0) ** np.arange(1, lam.size + 1)
+        np.testing.assert_allclose(report.spectrum, lam, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(report.esp, esp, rtol=0.0, atol=1e-14)
+        assert report.entropies["von_neumann_direct"] == pytest.approx(
+            free_fermion_entropy(nu), abs=1e-12
+        )
+
+
 @pytest.mark.parametrize("length", range(2, 13))
 @pytest.mark.parametrize("initial", ["neel", "up"])
 def test_xx_chain_matches_the_free_fermion_oracle(length, initial):
-    # At anisotropy 0 the chain is free fermions: the cut's correlation block
-    # gives the Schmidt spectrum without the bit rules, H or its Chebyshev
-    # expansion.  Spectra and ESPs agree to 4.4e-15 at most; S to 1.8e-13,
-    # since -x ln x magnifies the spectra's rounding where x is tiny.  e_k of
-    # the oracle come from np.poly, not from the package's recurrence.
+    # Spectra and ESPs agree to 4.4e-15 at most; S to 1.8e-13, since -x ln x
+    # magnifies the spectra's rounding where x is tiny.
     coupling, tmax = [(1.0, 2.0), (-0.7, 3.0), (0.35, 1.5)][length % 3]
     for cut in sorted({1, length // 2, length - 1}):
-        cfg = QuenchConfig(
-            model="xxz", length=length, cut=cut, tmax=tmax, steps=5, coupling=coupling,
-            anisotropy=0.0, initial=initial,
-        )
-        for t, report in quench_trajectory(cfg):
-            nu = free_fermion_modes(length, cut, coupling, initial, t)
-            lam = free_fermion_spectrum(nu)
-            esp = np.poly(lam)[1:] * (-1.0) ** np.arange(1, lam.size + 1)
-            np.testing.assert_allclose(report.spectrum, lam, rtol=0.0, atol=1e-14)
-            np.testing.assert_allclose(report.esp, esp, rtol=0.0, atol=1e-14)
-            assert report.entropies["von_neumann_direct"] == pytest.approx(
-                free_fermion_entropy(nu), abs=1e-12
-            )
+        assert_matches_the_free_fermion_oracle(length, cut, coupling, tmax, initial)
+
+
+@st.composite
+def xx_quenches(draw):
+    """(length, cut, J, tmax, initial) with |J| tmax <= 2.1, the most the fixed
+    cases reach: beyond it the ket's own rounding (about terms x eps) can reach
+    the bounds."""
+    length = draw(st.integers(2, 10))
+    tmax = draw(st.floats(0.0, 3.0))
+    bound = min(2.0, 2.1 / tmax) if tmax else 2.0
+    coupling = draw(st.floats(-bound, bound))
+    return length, draw(st.integers(1, length - 1)), coupling, tmax, draw(
+        st.sampled_from(["neel", "up"])
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(quench=xx_quenches())
+def test_xx_chain_matches_the_free_fermion_oracle_at_drawn_couplings(quench):
+    assert_matches_the_free_fermion_oracle(*quench)
 
 
 def test_xxz_neel_quench_runs():

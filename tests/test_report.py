@@ -134,7 +134,7 @@ def test_purities_match_newton_recurrence(kind):
                 state = validate_state(_state(kind, n, d, rng), renormalize=True)
                 purities = analyze(state, AnalysisOptions(k_max=12)).purities
                 esp = esp_from_spectrum(schmidt_spectrum(state))
-                recurrence = purities_recurrence(esp, 12).values
+                recurrence = purities_recurrence(esp, 12)
                 np.testing.assert_allclose(purities, recurrence, rtol=0, atol=1e-14)
 
 
